@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"elastichtap/internal/ch"
+	"elastichtap/internal/columnar"
 	"elastichtap/internal/olap"
 	"elastichtap/internal/oltp"
 	"elastichtap/internal/topology"
@@ -146,6 +147,52 @@ func TestGraphJoinExecutionAllocBudget(t *testing.T) {
 				t.Fatalf("warmed prepared %s execution allocates %.1f, budget %.0f", p.name, avg, p.budget)
 			}
 		})
+	}
+}
+
+// TestOrderedMergeAllocsFlatInGroups pins the ordered grouped merge's
+// allocation shape: a warmed Q18 Merge sizes its merge table once from the
+// locals' key counts, renders every group into one scratch row and
+// materializes only the top-k it keeps, so its allocation count is the
+// same at two database sizes whose group counts differ by 5x — nothing in
+// it allocates per group.
+func TestOrderedMergeAllocsFlatInGroups(t *testing.T) {
+	const topN = 10
+	merge := func(ordersPerDistrict int) (allocs float64, groups int64) {
+		s := ch.TinySizing()
+		s.OrdersPerDistrict = ordersPerDistrict
+		db := ch.Load(oltp.NewEngine(), s, 1)
+		q, err := ch.Q18Plan(1, topN).Bind(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exec, _ := q.Prepare()
+		tab := db.OrderLine.Table()
+		inst, rows := tab.Active(), tab.Rows()
+		var locals []olap.Local
+		for lo := int64(0); lo < rows; lo += columnar.ChunkSize {
+			hi := min(lo+columnar.ChunkSize, rows)
+			blk := olap.Block{Base: lo, N: int(hi - lo), Cols: make([][]int64, len(q.Columns()))}
+			for k, c := range q.Columns() {
+				blk.Cols[k] = inst.Col(c).Slice(lo, hi)
+			}
+			l := exec.NewLocal()
+			l.Consume(blk)
+			locals = append(locals, l)
+		}
+		if res := exec.Merge(locals); len(res.Rows) != topN {
+			t.Fatalf("%d orders per district: Q18 kept %d rows, want a full top-%d", ordersPerDistrict, len(res.Rows), topN)
+		}
+		return testing.AllocsPerRun(10, func() { exec.Merge(locals) }), s.Orders()
+	}
+	smallAllocs, smallGroups := merge(100)
+	largeAllocs, largeGroups := merge(500)
+	if largeGroups < 4*smallGroups {
+		t.Fatalf("group counts %d and %d differ by less than 4x", smallGroups, largeGroups)
+	}
+	if smallAllocs != largeAllocs {
+		t.Fatalf("warmed Q18 Merge allocates %.1f times over %d groups but %.1f over %d: allocations scale with groups",
+			smallAllocs, smallGroups, largeAllocs, largeGroups)
 	}
 }
 

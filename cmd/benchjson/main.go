@@ -20,8 +20,11 @@ import (
 	"strings"
 )
 
-// Bench is one parsed benchmark result line.
+// Bench is one parsed benchmark result line. Pkg is the package named by
+// the nearest preceding `pkg:` header, so a run over several packages
+// keeps each benchmark attributed to its own.
 type Bench struct {
+	Pkg         string             `json:"pkg,omitempty"`
 	N           int64              `json:"n"`
 	NsPerOp     float64            `json:"ns_per_op"`
 	BytesPerOp  float64            `json:"bytes_per_op,omitempty"`
@@ -37,6 +40,10 @@ type Bench struct {
 // ordering cost (greedy ns/op over written ns/op) for every
 // BenchmarkQ<n>OrderGreedy/BenchmarkQ<n>OrderWritten pair — below 1
 // means the zero-statistics greedy order beat the written edge order.
+//
+// The envelope's Pkg is set only when every benchmark came from one
+// package; a multi-package run leaves it empty and each Bench names its
+// own.
 type Report struct {
 	Goos       string            `json:"goos,omitempty"`
 	Goarch     string            `json:"goarch,omitempty"`
@@ -85,9 +92,12 @@ var graphJoinQueries = map[string]bool{"Q2": true, "Q5": true, "Q7": true}
 //	BenchmarkQ6Builder-8   3   1009042 ns/op   2847.06 MB/s   276045 B/op   67 allocs/op
 //
 // with an arbitrary tail of "<value> <unit>" pairs. Header lines (goos,
-// goarch, pkg, cpu) fill the report envelope; everything else is ignored.
+// goarch, cpu) fill the report envelope and a pkg header names the package
+// of the benchmarks that follow it; everything else is ignored.
 func parse(r io.Reader) (*Report, error) {
 	rep := &Report{Benchmarks: map[string]*Bench{}}
+	var pkg string
+	pkgs := map[string]bool{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	for sc.Scan() {
@@ -98,7 +108,7 @@ func parse(r io.Reader) (*Report, error) {
 		}{
 			{"goos: ", &rep.Goos},
 			{"goarch: ", &rep.Goarch},
-			{"pkg: ", &rep.Pkg},
+			{"pkg: ", &pkg},
 			{"cpu: ", &rep.CPU},
 		} {
 			if strings.HasPrefix(line, hdr.prefix) {
@@ -116,7 +126,7 @@ func parse(r io.Reader) (*Report, error) {
 		if err != nil {
 			continue
 		}
-		b := &Bench{N: n}
+		b := &Bench{Pkg: pkg, N: n}
 		ok := true
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
@@ -142,10 +152,14 @@ func parse(r io.Reader) (*Report, error) {
 		}
 		if ok {
 			rep.Benchmarks[fields[0]] = b
+			pkgs[pkg] = true
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
+	}
+	if len(pkgs) == 1 {
+		rep.Pkg = pkg
 	}
 	return rep, nil
 }

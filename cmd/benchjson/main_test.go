@@ -40,6 +40,38 @@ func TestParseBenchOutput(t *testing.T) {
 	}
 }
 
+// TestParsePackagePerBenchmark: a run over two packages attributes each
+// benchmark to the pkg header preceding it, and the envelope names no
+// single package.
+func TestParsePackagePerBenchmark(t *testing.T) {
+	const out = `goos: linux
+goarch: amd64
+pkg: elastichtap
+BenchmarkQ3Builder    3   100 ns/op
+PASS
+ok  	elastichtap	1.0s
+goos: linux
+goarch: amd64
+pkg: elastichtap/internal/wal
+BenchmarkWALAppend    3   50 ns/op
+PASS
+ok  	elastichtap/internal/wal	1.0s
+`
+	rep, err := parse(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Pkg != "" {
+		t.Fatalf("envelope pkg = %q, want empty for a two-package run", rep.Pkg)
+	}
+	if got := rep.Benchmarks["BenchmarkQ3Builder"].Pkg; got != "elastichtap" {
+		t.Fatalf("Q3Builder pkg = %q, want elastichtap", got)
+	}
+	if got := rep.Benchmarks["BenchmarkWALAppend"].Pkg; got != "elastichtap/internal/wal" {
+		t.Fatalf("WALAppend pkg = %q, want elastichtap/internal/wal", got)
+	}
+}
+
 func TestParseIgnoresGarbage(t *testing.T) {
 	rep, err := parse(strings.NewReader("hello\nBenchmarkBad abc def\nok pkg 1s\n"))
 	if err != nil {

@@ -83,10 +83,10 @@ type Query interface {
 type Result struct {
 	Cols []string
 	Rows [][]float64
-	// SortedRows is how many merged rows passed through an ordered merge
-	// (SortRows) — the sort volume the cost model charges per row. Zero
-	// for unordered queries; for top-k queries it counts the rows sorted,
-	// not the rows kept.
+	// SortedRows is how many merged rows reached an ordered merge (a
+	// TopK, after Having) — the sort volume the cost model charges per
+	// row. Zero for unordered queries; for top-k queries it counts the
+	// rows offered, not the rows kept.
 	SortedRows int64
 }
 
@@ -169,7 +169,11 @@ func (e *Engine) Sockets() int { return e.sockets }
 // sockets losing cores retire their most recently granted workers, which
 // finish their in-flight morsel and exit (a retiring worker stays on as
 // caretaker while queued morsels remain and no active worker exists, so a
-// shrink to zero can never strand a running task).
+// shrink to zero can never strand a running task). A shrink with nothing
+// queued retires its idle workers synchronously: they leave the pool's
+// accounting before SetPlacement returns and exit on their next wake
+// without grabbing, so a later Submit can never wake one into caretaker
+// duty — a placement of zero then means no pool worker runs.
 func (e *Engine) SetPlacement(p topology.Placement) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -196,7 +200,12 @@ func (e *Engine) SetPlacement(p topology.Placement) {
 				w := e.workers[s][last]
 				e.workers[s] = e.workers[s][:last]
 				w.stop = true
-				e.stopping[w.id] = w
+				if !w.busy && e.queuesEmpty() {
+					w.gone = true
+					e.nlive--
+				} else {
+					e.stopping[w.id] = w
+				}
 			}
 		}
 	}

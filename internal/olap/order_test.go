@@ -91,3 +91,55 @@ func TestSortRowsEmptyAndSingle(t *testing.T) {
 		t.Fatalf("single row mangled: %v", got)
 	}
 }
+
+// TestTopKMatchesReferenceAcrossLimits checks the copying top-k against
+// the reference sort across limits, with ties forced by a small domain,
+// offering every row through one reused scratch row.
+func TestTopKMatchesReferenceAcrossLimits(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(40)
+		rows := randomRows(rng, n, 3, 6)
+		ord := Order{Col: rng.Intn(3), Desc: rng.Intn(2) == 0}
+		want := referenceSort(rows, ord)
+		for _, limit := range []int{0, 1, n / 2, n, n + 5} {
+			top := NewTopK(ord, limit, n)
+			scratch := make([]float64, 3)
+			for _, r := range rows {
+				copy(scratch, r)
+				top.Offer(scratch)
+			}
+			got := top.Rows()
+			wantK := want
+			if limit > 0 && limit < len(want) {
+				wantK = want[:limit]
+			}
+			if !reflect.DeepEqual(got, wantK) {
+				t.Fatalf("trial %d limit %d ord %+v:\n got %v\nwant %v", trial, limit, ord, got, wantK)
+			}
+		}
+	}
+}
+
+// TestTopKCopiesOnAdmit: a row mutated after Offer must not change the
+// kept rows — Offer copies what it keeps, and an evicted row's storage
+// is reused without aliasing the caller's row.
+func TestTopKCopiesOnAdmit(t *testing.T) {
+	ord := Order{Col: 0, Desc: true}
+	top := NewTopK(ord, 2, 0)
+	row := []float64{1, 10}
+	for _, v := range []float64{5, 3, 9, 7, 1} {
+		row[0], row[1] = v, v*10
+		top.Offer(row)
+	}
+	row[0], row[1] = 100, 100
+	want := [][]float64{{9, 90}, {7, 70}}
+	if got := top.Rows(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("kept rows changed with the offered row: got %v, want %v", got, want)
+	}
+	for _, r := range top.Rows() {
+		if &r[0] == &row[0] {
+			t.Fatal("a kept row aliases the offered row")
+		}
+	}
+}

@@ -9,6 +9,11 @@ type worker struct {
 	socket int
 	id     int
 	stop   bool //htap:guardedby Engine.mu
+	// busy marks a worker mid-morsel (claimed, not yet finished); gone
+	// marks one SetPlacement retired while idle, which exits on its next
+	// wake without touching the queues.
+	busy bool //htap:guardedby Engine.mu
+	gone bool //htap:guardedby Engine.mu
 
 	// scratch is this worker's private reusable buffer space, touched
 	// only from the worker goroutine itself (outside e.mu, between grab
@@ -32,6 +37,10 @@ func (w *worker) run() {
 	e := w.e
 	e.mu.Lock()
 	for {
+		if w.gone {
+			e.mu.Unlock()
+			return
+		}
 		if w.stop && e.mayExit(w) {
 			delete(e.stopping, w.id)
 			e.nlive--
@@ -44,11 +53,13 @@ func (w *worker) run() {
 			e.cond.Wait()
 			continue
 		}
+		w.busy = true
 		t.noteClaim(w.id, mi, local)
 		e.mu.Unlock()
 		t.runMorsel(mi, &w.scratch)
 		e.mu.Lock()
 		t.finishMorsel(e)
+		w.busy = false
 	}
 }
 

@@ -1450,22 +1450,19 @@ func (e *exec) Merge(locals []olap.Local) olap.Result {
 	return finishRes(c, res)
 }
 
-// finishRes applies the post-aggregation stages shared by the staged and
-// fused paths: Having over emitted rows, then the ordered (top-k) merge.
+// finishRes applies the post-aggregation stages over materialized rows:
+// Having, then the ordered (top-k) merge. The staged path finishes every
+// plan here; the fused path only its global and unordered grouped plans
+// (an ordered grouped plan fuses both stages into its merge pass).
 //
 //htap:deterministic
 func finishRes(c *Compiled, res olap.Result) olap.Result {
 	if len(c.having) > 0 {
 		kept := res.Rows[:0]
-	rows:
 		for _, row := range res.Rows {
-			for i := range c.having {
-				h := &c.having[i]
-				if !h.fmatch(row[h.col]) {
-					continue rows
-				}
+			if c.keeps(row) {
+				kept = append(kept, row)
 			}
-			kept = append(kept, row)
 		}
 		res.Rows = kept
 	}
@@ -1474,6 +1471,17 @@ func finishRes(c *Compiled, res olap.Result) olap.Result {
 		res.Rows = olap.SortRows(res.Rows, c.order, c.limit)
 	}
 	return res
+}
+
+// keeps reports whether an output row passes every Having predicate.
+func (c *Compiled) keeps(row []float64) bool {
+	for i := range c.having {
+		h := &c.having[i]
+		if !h.fmatch(row[h.col]) {
+			return false
+		}
+	}
+	return true
 }
 
 //htap:deterministic

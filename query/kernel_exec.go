@@ -277,8 +277,20 @@ type groupTab struct {
 
 var zeroAccRow [maxFusedAccs]acc
 
-func newGroupTab(nacc, nkey int) *groupTab {
-	return &groupTab{mask: 63, shift: 58, slots: make([]int32, 64), nacc: nacc, nkey: nkey}
+// newGroupTab returns an empty table with room for n keys before its
+// first grow: per-morsel tables start small (n = 0) and grow with the keys
+// they touch, the merge table is sized once from the locals' key counts.
+func newGroupTab(nacc, nkey, n int) *groupTab {
+	size, shift := 64, uint8(58)
+	for n*4 > size*3 {
+		size *= 2
+		shift--
+	}
+	return &groupTab{
+		mask: uint64(size - 1), shift: shift, slots: make([]int32, size),
+		keys: make([]gkey, 0, n), arena: make([]acc, 0, n*nacc),
+		nacc: nacc, nkey: nkey,
+	}
 }
 
 func (t *groupTab) grow() {
@@ -365,7 +377,7 @@ func (e *fexec) NewLocal() olap.Local {
 	if e.gkind == gSpill {
 		// Spill plans always hash: building the table here keeps the
 		// per-block consume paths allocation-free (//htap:hotpath).
-		l.tab = newGroupTab(e.nacc, max(e.ngroup, 1))
+		l.tab = newGroupTab(e.nacc, max(e.ngroup, 1), 0)
 	}
 	if e.jkind == jMulti {
 		l.payBuf = make([]int64, e.npayTotal)
@@ -415,7 +427,7 @@ func (l *flocal) growIF(k int64) {
 //htap:coldpath
 func (l *flocal) lookupTab(k gkey) []acc {
 	if l.tab == nil {
-		l.tab = newGroupTab(l.e.nacc, max(l.e.ngroup, 1))
+		l.tab = newGroupTab(l.e.nacc, max(l.e.ngroup, 1), 0)
 	}
 	return l.tab.lookup(&k)
 }
@@ -780,36 +792,45 @@ func (e *fexec) mergeInto(dst, src []acc) {
 //
 //htap:deterministic
 func (e *fexec) emitRow(k gkey, accs []acc) []float64 {
-	row := make([]float64, 0, e.ngroup+len(e.sh.emits))
-	for d := 0; d < e.ngroup; d++ {
-		row = append(row, float64(k[d]))
-	}
-	for _, em := range e.sh.emits {
-		st := &accs[em.acc]
-		switch em.kind {
-		case aggCount, aggCountIf:
-			row = append(row, float64(st.count))
-		case aggSum:
-			row = append(row, st.sum)
-		case aggAvg:
-			// The count lives on the shared carrier accumulator; noCount
-			// sums only track their own total.
-			if cnt := accs[em.cnt].count; cnt == 0 {
-				row = append(row, 0)
-			} else {
-				row = append(row, st.sum/float64(cnt))
-			}
-		default: // aggMin, aggMax
-			row = append(row, st.ext)
-		}
-	}
+	row := make([]float64, e.ngroup+len(e.sh.emits))
+	e.emitInto(row, &k, accs)
 	return row
 }
 
+// emitInto is emitRow into a caller-owned row of the output width.
+//
+//htap:deterministic
+func (e *fexec) emitInto(row []float64, k *gkey, accs []acc) {
+	for d := 0; d < e.ngroup; d++ {
+		row[d] = float64(k[d])
+	}
+	for j, em := range e.sh.emits {
+		st := &accs[em.acc]
+		var v float64
+		switch em.kind {
+		case aggCount, aggCountIf:
+			v = float64(st.count)
+		case aggSum:
+			v = st.sum
+		case aggAvg:
+			// The count lives on the shared carrier accumulator; noCount
+			// sums only track their own total.
+			if cnt := accs[em.cnt].count; cnt != 0 {
+				v = st.sum / float64(cnt)
+			}
+		default: // aggMin, aggMax
+			v = st.ext
+		}
+		row[e.ngroup+j] = v
+	}
+}
+
 // Merge implements olap.Exec. The engine passes locals in morsel order;
-// totals accumulate in that order and grouped rows emit sorted by key,
-// exactly like the staged merge, so fused results are bitwise identical
-// under any stealing or resize interleaving.
+// totals accumulate in that order, exactly like the staged merge, so
+// fused results are bitwise identical under any stealing or resize
+// interleaving. Unordered grouped rows emit sorted by key, the order
+// their output is defined by; an ordered plan skips that sort and
+// finishes in one pass over the merge table (see finishOrdered).
 //
 //htap:deterministic
 func (e *fexec) Merge(locals []olap.Local) olap.Result {
@@ -823,11 +844,21 @@ func (e *fexec) Merge(locals []olap.Local) olap.Result {
 		res.Rows = [][]float64{e.emitRow(gkey{}, total)}
 		return finishRes(c, res)
 	}
-	// Totals accumulate in another open-addressed table: one growable
-	// arena instead of a map entry plus an []acc per group. Locals are
-	// visited in morsel order and each group's accumulator row merges in
-	// that order, so float totals stay bitwise deterministic.
-	total := newGroupTab(e.nacc, max(e.ngroup, 1))
+	// Totals accumulate in another open-addressed table: one arena
+	// instead of a map entry plus an []acc per group, sized up front so
+	// it never rehashes. Distinct keys are bounded by the widest dense
+	// local (dense keys share one small domain) plus every spilled key.
+	// Locals are visited in morsel order and each group's accumulator row
+	// merges in that order, so float totals stay bitwise deterministic.
+	dense, spilled := 0, 0
+	for _, li := range locals {
+		ll := li.(*flocal)
+		dense = max(dense, len(ll.flatIF), len(ll.present))
+		if ll.tab != nil {
+			spilled += len(ll.tab.keys)
+		}
+	}
+	total := newGroupTab(e.nacc, max(e.ngroup, 1), dense+spilled)
 	for _, li := range locals {
 		ll := li.(*flocal)
 		// specDenseSumIF keeps its dense cells in 24-byte sumIF form with
@@ -856,6 +887,9 @@ func (e *fexec) Merge(locals []olap.Local) olap.Result {
 			}
 		}
 	}
+	if c.ordered {
+		return e.finishOrdered(total, res)
+	}
 	order := make([]int32, len(total.keys))
 	for i := range order {
 		order[i] = int32(i)
@@ -875,4 +909,33 @@ func (e *fexec) Merge(locals []olap.Local) olap.Result {
 		res.Rows = append(res.Rows, e.emitRow(keys[oi], total.arena[off:off+e.nacc]))
 	}
 	return finishRes(c, res)
+}
+
+// finishOrdered is an ordered grouped plan's finish, fused into one pass
+// over the merge table in insertion order: each group renders into one
+// reusable scratch row, Having filters it there, and survivors are
+// counted (the sort volume the cost model charges) and offered to a
+// bounded top-k, which copies a row only when it keeps it. No key sort is
+// needed: Order is total over distinct rows and grouped rows are
+// distinct, so the top-k's output is the same for any offer order — the
+// staged merge's key-sorted feed included. Only the kept rows are ever
+// materialized.
+//
+//htap:deterministic
+func (e *fexec) finishOrdered(total *groupTab, res olap.Result) olap.Result {
+	c := e.c
+	if len(total.keys) == 0 {
+		return res // nil rows, like the staged merge over no groups
+	}
+	top := olap.NewTopK(c.order, c.limit, len(total.keys))
+	row := make([]float64, e.ngroup+len(e.sh.emits))
+	for i := range total.keys {
+		e.emitInto(row, &total.keys[i], total.arena[i*e.nacc:(i+1)*e.nacc])
+		if c.keeps(row) {
+			res.SortedRows++
+			top.Offer(row)
+		}
+	}
+	res.Rows = top.Rows()
+	return res
 }
