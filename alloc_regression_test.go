@@ -103,7 +103,7 @@ func TestPreparedExecutionAllocBudget(t *testing.T) {
 
 // TestGraphJoinExecutionAllocBudget bounds warmed prepared executions of
 // the graph-join queries Q2/Q5/Q7. Unlike the single-table queries above,
-// each execution legitimately rebuilds its dimension hash tables in
+// each execution legitimately rebuilds its dimension join tables in
 // Prepare (that cost is what BuildBytes reports and the planner costs),
 // so the budgets absorb the build — but the build is sized by the
 // dimension tables, never the fact scan, so a budget miss means either
@@ -127,10 +127,10 @@ func TestGraphJoinExecutionAllocBudget(t *testing.T) {
 		bind   func() (olap.Query, error)
 		budget float64
 	}{
-		// Measured ~51/56/543 at tiny sizing; headroom for runner noise.
+		// Measured 41/51/67 at tiny sizing; headroom for runner noise.
 		{"Q2", ch.TStock, func() (olap.Query, error) { q, err := ch.Q2Plan(0, 0).Bind(db); return q, err }, 96},
 		{"Q5", ch.TOrderLine, func() (olap.Query, error) { q, err := ch.Q5Plan(0).Bind(db); return q, err }, 96},
-		{"Q7", ch.TOrderLine, func() (olap.Query, error) { q, err := ch.Q7Plan(0).Bind(db); return q, err }, 768},
+		{"Q7", ch.TOrderLine, func() (olap.Query, error) { q, err := ch.Q7Plan(0).Bind(db); return q, err }, 128},
 	} {
 		t.Run(p.name, func(t *testing.T) {
 			q, err := p.bind()

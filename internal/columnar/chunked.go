@@ -12,15 +12,17 @@ const ChunkSize = 1 << 14
 
 // Words is a growable chunked array of raw 8-byte values. Cell writes use
 // atomic stores so a concurrently appended-to chunk can be handed to
-// readers without tearing; the chunk directory is guarded by a RWMutex
-// taken once per ChunkSize rows.
+// readers without tearing. The chunk directory is published through an
+// atomic pointer and replaced by a longer copy on growth; chunks never
+// move, so a cell access is one pointer load with no lock.
 type Words struct {
-	mu     sync.RWMutex
-	chunks [][]int64
+	growMu sync.Mutex // serializes directory growth
+	dir    atomic.Pointer[[][]int64]
 }
 
 func newWords(capHint int64) *Words {
 	w := &Words{}
+	w.dir.Store(new([][]int64))
 	w.ensure(capHint)
 	return w
 }
@@ -28,24 +30,25 @@ func newWords(capHint int64) *Words {
 // ensure guarantees storage for rows [0, n).
 func (w *Words) ensure(n int64) {
 	need := int((n + ChunkSize - 1) / ChunkSize)
-	w.mu.RLock()
-	have := len(w.chunks)
-	w.mu.RUnlock()
-	if have >= need {
+	if len(*w.dir.Load()) >= need {
 		return
 	}
-	w.mu.Lock()
-	for len(w.chunks) < need {
-		w.chunks = append(w.chunks, make([]int64, ChunkSize))
+	w.growMu.Lock()
+	defer w.growMu.Unlock()
+	old := *w.dir.Load()
+	if len(old) >= need {
+		return
 	}
-	w.mu.Unlock()
+	grown := make([][]int64, need)
+	copy(grown, old)
+	for i := len(old); i < need; i++ {
+		grown[i] = make([]int64, ChunkSize)
+	}
+	w.dir.Store(&grown)
 }
 
 func (w *Words) chunk(ci int) []int64 {
-	w.mu.RLock()
-	c := w.chunks[ci]
-	w.mu.RUnlock()
-	return c
+	return (*w.dir.Load())[ci]
 }
 
 // Store atomically writes the value at row i (storage must exist).

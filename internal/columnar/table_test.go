@@ -2,6 +2,7 @@ package columnar
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -242,6 +243,94 @@ func TestWordsSliceBoundaries(t *testing.T) {
 		}
 	}()
 	w.Slice(ChunkSize-1, ChunkSize+1)
+}
+
+// TestWordsConcurrentGrowth appends across nine chunk boundaries of a
+// table created with no capacity hint, so every column's chunk directory
+// is republished repeatedly, while readers ReadActive every published row
+// they sample and an ETL copies the published prefix into a replica. Run
+// under -race it pins the lock-free directory: a reader or copier that
+// loads a directory mid-growth must still find every published chunk.
+func TestWordsConcurrentGrowth(t *testing.T) {
+	const total = 9*ChunkSize + 123
+	const batch = 3000
+	val := func(r int64, c int) int64 { return r*7 + int64(c) }
+	tab := NewTable(Schema{Name: "g", Columns: []ColumnDef{
+		{Name: "a", Type: Int64},
+		{Name: "b", Type: Int64},
+	}}, 0)
+	rep := NewReplica(tab)
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	check := func(what string, r int64, c int, got int64) bool {
+		if got != val(r, c) {
+			t.Errorf("%s row %d col %d = %d, want %d", what, r, c, got, val(r, c))
+			return false
+		}
+		return true
+	}
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			for x := seed; ; x = x*6364136223846793005 + 1442695040888963407 {
+				last := done.Load()
+				n := tab.Rows()
+				if n > 0 {
+					r := int64(uint64(x)>>1) % n
+					for _, row := range []int64{r, n - 1} {
+						for c := 0; c < 2; c++ {
+							if !check("reader", row, c, tab.ReadActive(row, c)) {
+								return
+							}
+						}
+					}
+				}
+				if last {
+					return
+				}
+			}
+		}(int64(g + 1))
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			last := done.Load()
+			lo, hi := rep.Rows(), tab.Rows()
+			rep.CopyInserts(tab.Active(), lo, hi)
+			for r := lo; r < hi; r += 997 {
+				for c := 0; c < 2; c++ {
+					if !check("replica", r, c, rep.Col(c).Load(r)) {
+						return
+					}
+				}
+			}
+			if last {
+				return
+			}
+		}
+	}()
+	for lo := int64(0); lo < total; lo += batch {
+		hi := min(lo+batch, total)
+		rows := make([][]int64, 0, hi-lo)
+		for r := lo; r < hi; r++ {
+			rows = append(rows, []int64{val(r, 0), val(r, 1)})
+		}
+		tab.AppendRows(rows, 1)
+	}
+	done.Store(true)
+	wg.Wait()
+	if rep.Rows() != total {
+		t.Fatalf("replica holds %d rows, want %d", rep.Rows(), total)
+	}
+	for r := int64(0); r < total; r++ {
+		for c := 0; c < 2; c++ {
+			if !check("final replica", r, c, rep.Col(c).Load(r)) {
+				return
+			}
+		}
+	}
 }
 
 func TestQuickAppendReadBack(t *testing.T) {

@@ -311,9 +311,10 @@ func (e *fexec) addRange(slot int, lo, hi int64) {
 
 // prepareFused builds the specialized kernel for one execution: filters
 // classify into range/generic forms from their stamped kinds, CountIf
-// conditions specialize, group keys resolve their sources, and the join
-// build side loads into an open-addressed table (cheaper to build and
-// probe than a Go map, and sized by matching rows, not dimension rows).
+// conditions specialize, group keys resolve their sources, and each join
+// build side loads once into a direct-address array when its keys are
+// dense, else into an open-addressed table sized by matching rows, not
+// dimension rows (see joinTab1).
 func (c *Compiled) prepareFused() (olap.Exec, int64) {
 	e := &fexec{
 		c: c, sh: c.fuse,

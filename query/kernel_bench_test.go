@@ -35,6 +35,8 @@ func newBenchCatalog(tb testing.TB) (Catalog, *oltp.Engine) {
 		{Name: "qty", Type: columnar.Int64},
 		{Name: "amount", Type: columnar.Float64},
 		{Name: "tag", Type: columnar.String},
+		{Name: "jks", Type: columnar.Int64},
+		{Name: "k2s", Type: columnar.Int64},
 	}}, 16, false)
 	ft := fact.Table()
 	tags := []string{"web", "store", "phone"}
@@ -48,6 +50,8 @@ func newBenchCatalog(tb testing.TB) (Catalog, *oltp.Engine) {
 			int64(i%50+1),      // qty
 			float64(i%997)/7.0, // amount
 			tags[i%len(tags)],  // tag: dict-coded
+			int64(i%100)*1000,  // jks: jk scattered ×1000
+			int64(i%50)*1000,   // k2s: k2 scattered ×1000
 		))
 	}
 	ft.AppendRows(rows, 0)
@@ -78,6 +82,22 @@ func newBenchCatalog(tb testing.TB) (Catalog, *oltp.Engine) {
 		}
 	}
 	ct.AppendRows(crows, 0)
+
+	// dims is dimc with both key columns scattered ×1000: the same join,
+	// but its key domain is far wider than its row count.
+	dims := e.CreateTable(columnar.Schema{Name: "bdims", Columns: []columnar.ColumnDef{
+		{Name: "sjk", Type: columnar.Int64},
+		{Name: "sk2", Type: columnar.Int64},
+		{Name: "spay", Type: columnar.Int64},
+	}}, 16, false)
+	st := dims.Table()
+	srows := make([][]int64, 0, 100*50)
+	for a := 0; a < 100; a++ {
+		for c := 0; c < 50; c++ {
+			srows = append(srows, st.EncodeRow(int64(a)*1000, int64(c)*1000, int64((a+c)%32)))
+		}
+	}
+	st.AppendRows(srows, 0)
 	return testCatalog{e}, e
 }
 
@@ -174,4 +194,24 @@ func BenchmarkKernelDenseGroupSumIntFloat(b *testing.B) {
 		Filter(Between("qty", 5, 45)).
 		GroupBy("gid").
 		Agg(Sum("qty").As("sq"), Sum("amount").As("sa")), 4)
+}
+
+// BenchmarkKernelProbeGroupSumDense and BenchmarkKernelProbeGroupSumSparse
+// run one plan — an unfiltered composite-key payload probe grouped on the
+// payload — over the same 100×50 build, once on its dense keys (the
+// direct-address join table) and once with both key columns scattered
+// ×1000 (the open-addressed fallback), so each table form is measured on
+// its own.
+func BenchmarkKernelProbeGroupSumDense(b *testing.B) {
+	runKernelBench(b, Scan("bfact").
+		JoinGraph(JoinOn(Rel("bfact"), Rel("bdimc"), "jk", "jk", "k2", "k2")).
+		GroupBy("pay").
+		Agg(Sum("amount").As("rev")), 3)
+}
+
+func BenchmarkKernelProbeGroupSumSparse(b *testing.B) {
+	runKernelBench(b, Scan("bfact").
+		JoinGraph(JoinOn(Rel("bfact"), Rel("bdims"), "jks", "sjk", "k2s", "sk2")).
+		GroupBy("spay").
+		Agg(Sum("amount").As("rev")), 3)
 }

@@ -1,10 +1,11 @@
 package query
 
-// Execution side of the fused kernels: open-addressed hash tables for
-// the join build side and spill grouping, the per-morsel single-pass
-// loops, and the morsel-ordered merge.
+// Execution side of the fused kernels: direct-address or open-addressed
+// join build tables, open-addressed spill grouping, the per-morsel
+// single-pass loops, and the morsel-ordered merge.
 
 import (
+	"math"
 	"sort"
 
 	"elastichtap/internal/columnar"
@@ -41,16 +42,130 @@ func hashGK(k *gkey, n int) uint64 {
 	return h
 }
 
-// joinTab1 is the single-key join build table: linear-probed slots keyed
-// by the raw int64 word, payload rows packed in one slab at fixed
-// stride. build presizes it from the dimension's row count — like the
-// map build it replaces — so loading never rehashes.
+// A join table is direct-address when its build keys are dense: every CH
+// join key is a TPC-C key, so the product of the key columns' spans is
+// close to the build's row count and an array of slab offsets indexed by
+// the row-major linear key holds the join with no hash, no key compare
+// and no probe chain (stock's 140k-row (w, i_id) domain is 547 KiB of
+// int32, against 8 MiB of hash slots). A domain wider than
+// denseFactor·n + denseFloor entries falls back to the open-addressed
+// table, so sparse keys cost at most a few words per build row.
+const (
+	denseFactor = 4
+	denseFloor  = 64
+)
+
+// buildRows is a join build side read once: the passing dimension rows'
+// key words (row-major, one per key column), their payload packed in one
+// slab at fixed stride, and each key column's range.
+type buildRows struct {
+	keys   []int64
+	slab   []int64
+	lo, hi jkey
+	n      int
+}
+
+// readBuild reads the dimension's predicate-passing rows, narrowed
+// through the dimension's secondary index when an Eq predicate allows it
+// (see indexedDimRows). Posting rows iterate ascending, so the narrowed
+// build sees duplicate keys in the same order as a full scan. Returns the
+// rows and the number of dimension rows read (the cost model's broadcast
+// volume).
+func readBuild(j *joinPlan) (buildRows, int64) {
+	dt := j.dim.Table()
+	rows := dt.Rows()
+	nkey, npay := len(j.keyCols), len(j.payCols)
+	cands, narrowed := indexedDimRows(j)
+	scanned := rows
+	// Presize for the rows that will be visited; a predicated un-narrowed
+	// build starts empty and grows to its matches.
+	n0 := int(rows)
+	if len(j.preds) > 0 {
+		n0 = 0
+	}
+	if narrowed {
+		scanned = int64(len(cands))
+		n0 = len(cands)
+	}
+	b := buildRows{keys: make([]int64, 0, n0*nkey)}
+	if npay > 0 {
+		b.slab = make([]int64, 0, n0*npay)
+	}
+	for d := 0; d < nkey; d++ {
+		b.lo[d], b.hi[d] = math.MaxInt64, math.MinInt64
+	}
+	add := func(r int64) {
+		for i := range j.preds {
+			f := &j.preds[i]
+			if !f.match(dt.ReadActive(r, f.col)) {
+				return
+			}
+		}
+		for _, pc := range j.payCols {
+			b.slab = append(b.slab, dt.ReadActive(r, pc))
+		}
+		for d, kc := range j.keyCols {
+			k := dt.ReadActive(r, kc)
+			b.keys = append(b.keys, k)
+			b.lo[d], b.hi[d] = min(b.lo[d], k), max(b.hi[d], k)
+		}
+		b.n++
+	}
+	if narrowed {
+		for _, r := range cands {
+			add(r)
+		}
+	} else {
+		for r := int64(0); r < rows; r++ {
+			add(r)
+		}
+	}
+	return b, scanned
+}
+
+// denseSpans sizes a direct-address table over the first nkey key
+// columns: each column's span (hi-lo+1) and their product. ok is false
+// when the domain exceeds denseFactor·n + denseFloor entries. An empty
+// build is dense with zero spans, so every probe misses.
+func (b *buildRows) denseSpans(nkey int) (span [maxJoinCols]uint64, size int, ok bool) {
+	if b.n == 0 {
+		return span, 0, true
+	}
+	limit := uint64(denseFactor*b.n + denseFloor)
+	total := uint64(1)
+	for d := 0; d < nkey; d++ {
+		// hi-lo wraps when the signed difference overflows, but read
+		// unsigned it is the exact width of [lo, hi].
+		w := uint64(b.hi[d] - b.lo[d])
+		if w >= limit {
+			return span, 0, false
+		}
+		w++
+		if total > limit/w {
+			return span, 0, false
+		}
+		total *= w
+		span[d] = w
+	}
+	return span, int(total), true
+}
+
+// joinTab1 is the single-key join build table. Dense keys index offs
+// directly (offs[k-lo] is the key's slab offset plus one, 0 = absent);
+// otherwise linear-probed slots hold the raw key word, sized once from
+// the passing row count so the load never rehashes. Payload rows sit in
+// one slab at fixed stride either way. Duplicate keys keep the last
+// row's payload, like the staged map build.
 type joinTab1 struct {
+	dense bool
+	lo    int64
+	offs  []int32
+
 	mask  uint64
 	shift uint8
 	slots []j1slot
-	slab  []int64
-	npay  int
+
+	slab []int64
 }
 
 type j1slot struct {
@@ -69,177 +184,30 @@ func sizeFor(n int) (int, uint8) {
 	return nslots, shift
 }
 
-func (t *joinTab1) grow() {
-	old := t.slots
-	t.slots = make([]j1slot, len(old)*2)
-	t.mask = uint64(len(t.slots) - 1)
-	t.shift--
-	for i := range old {
-		s := old[i]
-		if !s.used {
-			continue
-		}
-		h := hash1(s.key, t.shift)
-		for t.slots[h].used {
-			h = (h + 1) & t.mask
-		}
-		t.slots[h] = s
-	}
-}
-
-// build loads the dimension's predicate-passing rows, narrowed through
-// the dimension's secondary index when an Eq predicate allows it (see
-// indexedDimRows). Duplicate keys keep the last row's payload, matching
-// the map build it replaces — posting rows iterate ascending, so the
-// narrowed build resolves duplicates identically. Returns the number of
-// dimension rows read (the cost model's broadcast volume).
+// build loads the table from the dimension's passing rows and returns the
+// number of dimension rows read.
 func (t *joinTab1) build(j *joinPlan) int64 {
-	dt := j.dim.Table()
-	rows := dt.Rows()
-	t.npay = len(j.payCols)
-	cands, narrowed := indexedDimRows(j)
-	scanned := rows
-	// Presize for the rows that will actually be visited; a predicated
-	// un-narrowed build stays small and grows to its matches, keeping
-	// selective tables cache-resident.
-	n0 := int(rows)
-	if len(j.preds) > 0 {
-		n0 = 0
+	b, scanned := readBuild(j)
+	t.slab = b.slab
+	npay := len(j.payCols)
+	if _, size, ok := b.denseSpans(1); ok {
+		t.dense, t.lo = true, b.lo[0]
+		t.offs = make([]int32, size)
+		for r, k := range b.keys {
+			t.offs[k-t.lo] = int32(r*npay) + 1
+		}
+		return scanned
 	}
-	if narrowed {
-		scanned = int64(len(cands))
-		n0 = len(cands)
-	}
-	nslots, shift := sizeFor(n0)
+	nslots, shift := sizeFor(b.n)
 	t.slots = make([]j1slot, nslots)
 	t.mask, t.shift = uint64(nslots-1), shift
-	if t.npay > 0 && n0 > 0 {
-		t.slab = make([]int64, 0, n0*t.npay)
-	}
-	kc := j.keyCols[0]
-	n := 0
-	add := func(r int64) {
-		for i := range j.preds {
-			f := &j.preds[i]
-			if !f.match(dt.ReadActive(r, f.col)) {
-				return
-			}
-		}
-		off := int32(len(t.slab))
-		for _, pc := range j.payCols {
-			t.slab = append(t.slab, dt.ReadActive(r, pc))
-		}
-		if (n+1)*4 > len(t.slots)*3 {
-			t.grow()
-		}
-		k := dt.ReadActive(r, kc)
+	for r, k := range b.keys {
+		off := int32(r * npay)
 		h := hash1(k, t.shift)
 		for {
 			s := &t.slots[h]
 			if !s.used {
 				s.key, s.off, s.used = k, off, true
-				n++
-				break
-			}
-			if s.key == k {
-				s.off = off // last row wins, like the map build
-				break
-			}
-			h = (h + 1) & t.mask
-		}
-	}
-	if narrowed {
-		for _, r := range cands {
-			add(r)
-		}
-	} else {
-		for r := int64(0); r < rows; r++ {
-			add(r)
-		}
-	}
-	return scanned
-}
-
-// joinTabK is the composite-key variant over fixed-width jkey arrays.
-type joinTabK struct {
-	mask  uint64
-	shift uint8
-	slots []jKslot
-	slab  []int64
-	npay  int
-	nkey  int
-}
-
-type jKslot struct {
-	key  jkey
-	off  int32
-	used bool
-}
-
-func (t *joinTabK) grow() {
-	old := t.slots
-	t.slots = make([]jKslot, len(old)*2)
-	t.mask = uint64(len(t.slots) - 1)
-	t.shift--
-	for i := range old {
-		s := old[i]
-		if !s.used {
-			continue
-		}
-		h := hashJK(&s.key, t.nkey) >> t.shift
-		for t.slots[h].used {
-			h = (h + 1) & t.mask
-		}
-		t.slots[h] = s
-	}
-}
-
-func (t *joinTabK) build(j *joinPlan) int64 {
-	dt := j.dim.Table()
-	rows := dt.Rows()
-	t.npay = len(j.payCols)
-	t.nkey = len(j.keyCols)
-	cands, narrowed := indexedDimRows(j)
-	scanned := rows
-	n0 := int(rows)
-	if len(j.preds) > 0 {
-		n0 = 0
-	}
-	if narrowed {
-		scanned = int64(len(cands))
-		n0 = len(cands)
-	}
-	nslots, shift := sizeFor(n0)
-	t.slots = make([]jKslot, nslots)
-	t.mask, t.shift = uint64(nslots-1), shift
-	if t.npay > 0 && n0 > 0 {
-		t.slab = make([]int64, 0, n0*t.npay)
-	}
-	n := 0
-	add := func(r int64) {
-		for i := range j.preds {
-			f := &j.preds[i]
-			if !f.match(dt.ReadActive(r, f.col)) {
-				return
-			}
-		}
-		off := int32(len(t.slab))
-		for _, pc := range j.payCols {
-			t.slab = append(t.slab, dt.ReadActive(r, pc))
-		}
-		if (n+1)*4 > len(t.slots)*3 {
-			t.grow()
-		}
-		var k jkey
-		for d, kc := range j.keyCols {
-			k[d] = dt.ReadActive(r, kc)
-		}
-		h := hashJK(&k, t.nkey) >> t.shift
-		for {
-			s := &t.slots[h]
-			if !s.used {
-				s.key, s.off, s.used = k, off, true
-				n++
 				break
 			}
 			if s.key == k {
@@ -249,13 +217,66 @@ func (t *joinTabK) build(j *joinPlan) int64 {
 			h = (h + 1) & t.mask
 		}
 	}
-	if narrowed {
-		for _, r := range cands {
-			add(r)
+	return scanned
+}
+
+// joinTabK is the composite-key variant: the dense form linearizes the
+// key row-major over per-column spans, the hashed form keys its slots by
+// fixed-width jkey arrays.
+type joinTabK struct {
+	dense bool
+	lo    jkey
+	span  [maxJoinCols]uint64
+	offs  []int32
+
+	mask  uint64
+	shift uint8
+	slots []jKslot
+
+	slab []int64
+}
+
+type jKslot struct {
+	key  jkey
+	off  int32
+	used bool
+}
+
+func (t *joinTabK) build(j *joinPlan) int64 {
+	b, scanned := readBuild(j)
+	t.slab = b.slab
+	nkey, npay := len(j.keyCols), len(j.payCols)
+	if span, size, ok := b.denseSpans(nkey); ok {
+		t.dense, t.lo, t.span = true, b.lo, span
+		t.offs = make([]int32, size)
+		for r := 0; r < b.n; r++ {
+			var lin uint64
+			for d := 0; d < nkey; d++ {
+				lin = lin*span[d] + uint64(b.keys[r*nkey+d]-t.lo[d])
+			}
+			t.offs[lin] = int32(r*npay) + 1
 		}
-	} else {
-		for r := int64(0); r < rows; r++ {
-			add(r)
+		return scanned
+	}
+	nslots, shift := sizeFor(b.n)
+	t.slots = make([]jKslot, nslots)
+	t.mask, t.shift = uint64(nslots-1), shift
+	for r := 0; r < b.n; r++ {
+		var k jkey
+		copy(k[:], b.keys[r*nkey:(r+1)*nkey])
+		off := int32(r * npay)
+		h := hashJK(&k, nkey) >> t.shift
+		for {
+			s := &t.slots[h]
+			if !s.used {
+				s.key, s.off, s.used = k, off, true
+				break
+			}
+			if s.key == k {
+				s.off = off
+				break
+			}
+			h = (h + 1) & t.mask
 		}
 	}
 	return scanned
@@ -479,45 +500,75 @@ func (l *flocal) Consume(b olap.Block) {
 }
 
 // probe resolves the join for row i: reports whether it matched and
-// leaves the payload row in *pay. Small enough to inline into the
-// consume loops' row bodies.
+// leaves the payload row in *pay. A dense table costs one range check
+// per key word and one array load; a hashed one walks its probe chain.
 func (e *fexec) probe(cols [][]int64, i int, pay *[]int64) bool {
+	var off int32
+	var slab []int64
 	switch e.jkind {
 	case jOne:
+		t := &e.j1
 		k := cols[e.probeSlot][i]
-		h := hash1(k, e.j1.shift)
-		for {
-			s := &e.j1.slots[h]
-			if !s.used {
+		if t.dense {
+			x := uint64(k - t.lo)
+			if x >= uint64(len(t.offs)) || t.offs[x] == 0 {
 				return false
 			}
-			if s.key == k {
-				if e.npay > 0 {
-					*pay = e.j1.slab[s.off : int(s.off)+e.npay]
+			off = t.offs[x] - 1
+		} else {
+			h := hash1(k, t.shift)
+			for {
+				s := &t.slots[h]
+				if !s.used {
+					return false
 				}
-				return true
+				if s.key == k {
+					off = s.off
+					break
+				}
+				h = (h + 1) & t.mask
 			}
-			h = (h + 1) & e.j1.mask
 		}
+		slab = t.slab
 	case jMany:
-		var k jkey
-		for d, s := range e.probeSlots {
-			k[d] = cols[s][i]
-		}
-		h := hashJK(&k, e.nkey) >> e.jK.shift
-		for {
-			s := &e.jK.slots[h]
-			if !s.used {
+		t := &e.jK
+		if t.dense {
+			var lin uint64
+			for d, s := range e.probeSlots {
+				x := uint64(cols[s][i] - t.lo[d])
+				if x >= t.span[d] {
+					return false
+				}
+				lin = lin*t.span[d] + x
+			}
+			if t.offs[lin] == 0 {
 				return false
 			}
-			if s.key == k {
-				if e.npay > 0 {
-					*pay = e.jK.slab[s.off : int(s.off)+e.npay]
-				}
-				return true
+			off = t.offs[lin] - 1
+		} else {
+			var k jkey
+			for d, s := range e.probeSlots {
+				k[d] = cols[s][i]
 			}
-			h = (h + 1) & e.jK.mask
+			h := hashJK(&k, e.nkey) >> t.shift
+			for {
+				s := &t.slots[h]
+				if !s.used {
+					return false
+				}
+				if s.key == k {
+					off = s.off
+					break
+				}
+				h = (h + 1) & t.mask
+			}
 		}
+		slab = t.slab
+	default:
+		return true
+	}
+	if e.npay > 0 {
+		*pay = slab[off : int(off)+e.npay]
 	}
 	return true
 }
@@ -530,55 +581,81 @@ func (e *fexec) probe(cols [][]int64, i int, pay *[]int64) bool {
 func (e *fexec) probeMulti(cols [][]int64, i int, payBuf []int64) bool {
 	for ji := range e.joins {
 		j := &e.joins[ji]
+		var off int32
+		var slab []int64
 		if j.one {
+			t := &j.j1
 			var k int64
 			if s := j.probeSlots[0]; s >= e.nscan {
 				k = payBuf[s-e.nscan]
 			} else {
 				k = cols[s][i]
 			}
-			h := hash1(k, j.j1.shift)
-			for {
-				sl := &j.j1.slots[h]
-				if !sl.used {
+			if t.dense {
+				x := uint64(k - t.lo)
+				if x >= uint64(len(t.offs)) || t.offs[x] == 0 {
 					return false
 				}
-				if sl.key == k {
-					// Single-word payloads (the common case) skip memmove.
-					if j.npay == 1 {
-						payBuf[j.payBase] = j.j1.slab[sl.off]
-					} else if j.npay > 0 {
-						copy(payBuf[j.payBase:j.payBase+j.npay], j.j1.slab[sl.off:int(sl.off)+j.npay])
-					}
-					break
-				}
-				h = (h + 1) & j.j1.mask
-			}
-			continue
-		}
-		var k jkey
-		for d, s := range j.probeSlots {
-			if s >= e.nscan {
-				k[d] = payBuf[s-e.nscan]
+				off = t.offs[x] - 1
 			} else {
-				k[d] = cols[s][i]
-			}
-		}
-		h := hashJK(&k, j.nkey) >> j.jK.shift
-		for {
-			sl := &j.jK.slots[h]
-			if !sl.used {
-				return false
-			}
-			if sl.key == k {
-				if j.npay == 1 {
-					payBuf[j.payBase] = j.jK.slab[sl.off]
-				} else if j.npay > 0 {
-					copy(payBuf[j.payBase:j.payBase+j.npay], j.jK.slab[sl.off:int(sl.off)+j.npay])
+				h := hash1(k, t.shift)
+				for {
+					sl := &t.slots[h]
+					if !sl.used {
+						return false
+					}
+					if sl.key == k {
+						off = sl.off
+						break
+					}
+					h = (h + 1) & t.mask
 				}
-				break
 			}
-			h = (h + 1) & j.jK.mask
+			slab = t.slab
+		} else {
+			t := &j.jK
+			var k jkey
+			for d, s := range j.probeSlots {
+				if s >= e.nscan {
+					k[d] = payBuf[s-e.nscan]
+				} else {
+					k[d] = cols[s][i]
+				}
+			}
+			if t.dense {
+				var lin uint64
+				for d := 0; d < j.nkey; d++ {
+					x := uint64(k[d] - t.lo[d])
+					if x >= t.span[d] {
+						return false
+					}
+					lin = lin*t.span[d] + x
+				}
+				if t.offs[lin] == 0 {
+					return false
+				}
+				off = t.offs[lin] - 1
+			} else {
+				h := hashJK(&k, j.nkey) >> t.shift
+				for {
+					sl := &t.slots[h]
+					if !sl.used {
+						return false
+					}
+					if sl.key == k {
+						off = sl.off
+						break
+					}
+					h = (h + 1) & t.mask
+				}
+			}
+			slab = t.slab
+		}
+		// Single-word payloads (the common case) skip memmove.
+		if j.npay == 1 {
+			payBuf[j.payBase] = slab[off]
+		} else if j.npay > 0 {
+			copy(payBuf[j.payBase:j.payBase+j.npay], slab[off:int(off)+j.npay])
 		}
 	}
 	return true
@@ -787,17 +864,8 @@ func (e *fexec) mergeInto(dst, src []acc) {
 	}
 }
 
-// emitRow renders one output row from a merged accumulator row through
-// the shape's emit mapping.
-//
-//htap:deterministic
-func (e *fexec) emitRow(k gkey, accs []acc) []float64 {
-	row := make([]float64, e.ngroup+len(e.sh.emits))
-	e.emitInto(row, &k, accs)
-	return row
-}
-
-// emitInto is emitRow into a caller-owned row of the output width.
+// emitInto renders one output row from a merged accumulator row through
+// the shape's emit mapping, into a caller-owned row of the output width.
 //
 //htap:deterministic
 func (e *fexec) emitInto(row []float64, k *gkey, accs []acc) {
@@ -841,7 +909,9 @@ func (e *fexec) Merge(locals []olap.Local) olap.Result {
 		for _, li := range locals {
 			e.mergeInto(total, li.(*flocal).global)
 		}
-		res.Rows = [][]float64{e.emitRow(gkey{}, total)}
+		row := make([]float64, e.ngroup+len(e.sh.emits))
+		e.emitInto(row, &gkey{}, total)
+		res.Rows = [][]float64{row}
 		return finishRes(c, res)
 	}
 	// Totals accumulate in another open-addressed table: one arena
@@ -904,9 +974,18 @@ func (e *fexec) Merge(locals []olap.Local) olap.Result {
 		}
 		return false
 	})
-	for _, oi := range order {
-		off := int(oi) * e.nacc
-		res.Rows = append(res.Rows, e.emitRow(keys[oi], total.arena[off:off+e.nacc]))
+	// Every row is carved from one slab; the full slice expression caps
+	// each row so an append to one can never overwrite the next.
+	if len(order) > 0 {
+		width := e.ngroup + len(e.sh.emits)
+		slab := make([]float64, len(order)*width)
+		res.Rows = make([][]float64, len(order))
+		for i, oi := range order {
+			off := int(oi) * e.nacc
+			row := slab[i*width : (i+1)*width : (i+1)*width]
+			e.emitInto(row, &keys[oi], total.arena[off:off+e.nacc])
+			res.Rows[i] = row
+		}
 	}
 	return finishRes(c, res)
 }

@@ -90,14 +90,17 @@ func (l *flocal) runGlobalSumF2(b olap.Block) {
 }
 
 // runGlobalSemiSumF is Q19's loop: one range bracket, an inlined
-// open-addressed existence probe, register-accumulated float sum.
+// existence probe (direct-address or open-addressed), register-
+// accumulated float sum.
 func (l *flocal) runGlobalSemiSumF(b olap.Block) {
 	e := l.e
 	cols := b.Cols
 	v0, lo0, span0 := cols[e.ranges[0].slot], e.ranges[0].lo, uint64(e.ranges[0].hi-e.ranges[0].lo)
 	kv := cols[e.probeSlot]
 	av := cols[e.ops[0].slot]
-	slots, mask, shift := e.j1.slots, e.j1.mask, e.j1.shift
+	t := &e.j1
+	dense, klo, offs := t.dense, t.lo, t.offs
+	slots, mask, shift := t.slots, t.mask, t.shift
 	st := &l.global[0]
 	sum, cnt := st.sum, st.count
 row:
@@ -106,16 +109,22 @@ row:
 			continue
 		}
 		k := kv[i]
-		h := uint64(k) * fibMul >> shift
-		for {
-			s := &slots[h]
-			if !s.used {
-				continue row
+		if dense {
+			if x := uint64(k - klo); x >= uint64(len(offs)) || offs[x] == 0 {
+				continue
 			}
-			if s.key == k {
-				break
+		} else {
+			h := uint64(k) * fibMul >> shift
+			for {
+				s := &slots[h]
+				if !s.used {
+					continue row
+				}
+				if s.key == k {
+					break
+				}
+				h = (h + 1) & mask
 			}
-			h = (h + 1) & mask
 		}
 		sum += columnar.DecodeFloat(av[i])
 		cnt++
@@ -164,8 +173,9 @@ func (l *flocal) runDenseSumIF(b olap.Block) {
 }
 
 // runSpillSumF is Q18's and Q3's loop: no fact-side filters, optional
-// composite-key payload join, composite group keys resolved straight
-// into the open-addressed group table, one float-sum accumulator.
+// composite-key payload join (direct-address or hashed, written out),
+// composite group keys resolved straight into the open-addressed group
+// table, one float-sum accumulator.
 func (l *flocal) runSpillSumF(b olap.Block) {
 	e := l.e
 	cols := b.Cols
@@ -196,11 +206,8 @@ func (l *flocal) runSpillSumF(b olap.Block) {
 		}
 	}
 	join := e.jkind == jMany
+	t := &e.jK
 	var pv0, pv1, pv2 []int64
-	var slots []jKslot
-	var mask uint64
-	var shift uint8
-	npay := e.npay
 	if join {
 		pv0 = cols[e.probeSlots[0]]
 		if e.nkey > 1 {
@@ -209,39 +216,69 @@ func (l *flocal) runSpillSumF(b olap.Block) {
 		if e.nkey > 2 {
 			pv2 = cols[e.probeSlots[2]]
 		}
-		slots, mask, shift = e.jK.slots, e.jK.mask, e.jK.shift
 	}
-	slab := e.jK.slab
+	dense, offs := t.dense, t.offs
+	lo0, lo1, lo2 := t.lo[0], t.lo[1], t.lo[2]
+	sp0, sp1, sp2 := t.span[0], t.span[1], t.span[2]
+	slots, mask, shift := t.slots, t.mask, t.shift
+	slab, npay := t.slab, e.npay
 	tab := l.tab // pre-sized by NewLocal for gSpill plans
 	var pay []int64
 row:
 	for i := 0; i < b.N; i++ {
 		if join {
-			// hashJK inlined over the unrolled key words.
-			var jk jkey
-			jk[0] = pv0[i]
-			h := (fibMul ^ uint64(jk[0])) * fibMul
-			if pv1 != nil {
-				jk[1] = pv1[i]
-				h = (h ^ uint64(jk[1])) * fibMul
-			}
-			if pv2 != nil {
-				jk[2] = pv2[i]
-				h = (h ^ uint64(jk[2])) * fibMul
-			}
-			h >>= shift
-			for {
-				s := &slots[h]
-				if !s.used {
-					continue row
+			var off int32
+			if dense {
+				lin := uint64(pv0[i] - lo0)
+				if lin >= sp0 {
+					continue
 				}
-				if s.key == jk {
-					if npay > 0 {
-						pay = slab[s.off : int(s.off)+npay]
+				if pv1 != nil {
+					x := uint64(pv1[i] - lo1)
+					if x >= sp1 {
+						continue
 					}
-					break
+					lin = lin*sp1 + x
 				}
-				h = (h + 1) & mask
+				if pv2 != nil {
+					x := uint64(pv2[i] - lo2)
+					if x >= sp2 {
+						continue
+					}
+					lin = lin*sp2 + x
+				}
+				if offs[lin] == 0 {
+					continue
+				}
+				off = offs[lin] - 1
+			} else {
+				// hashJK inlined over the unrolled key words.
+				var jk jkey
+				jk[0] = pv0[i]
+				h := (fibMul ^ uint64(jk[0])) * fibMul
+				if pv1 != nil {
+					jk[1] = pv1[i]
+					h = (h ^ uint64(jk[1])) * fibMul
+				}
+				if pv2 != nil {
+					jk[2] = pv2[i]
+					h = (h ^ uint64(jk[2])) * fibMul
+				}
+				h >>= shift
+				for {
+					s := &slots[h]
+					if !s.used {
+						continue row
+					}
+					if s.key == jk {
+						off = s.off
+						break
+					}
+					h = (h + 1) & mask
+				}
+			}
+			if npay > 0 {
+				pay = slab[off : int(off)+npay]
 			}
 		}
 		var k gkey
