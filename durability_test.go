@@ -1,6 +1,7 @@
 package elastichtap
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -42,11 +43,11 @@ func TestDurabilityRoundTrip(t *testing.T) {
 	sys.Run(150)
 
 	wantCommits := sys.inner.OLTPE.Manager().Commits()
-	wantQ6, err := sys.Query(Q6(db))
+	wantQ6, err := sys.QueryContext(context.Background(), Q6(db))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantQ18, err := sys.Query(Q18(db))
+	wantQ18, err := sys.QueryContext(context.Background(), Q18(db))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,14 +70,14 @@ func TestDurabilityRoundTrip(t *testing.T) {
 		t.Fatalf("recovered %d commits, live saw %d", info.Commits, wantCommits)
 	}
 	db2 := sys2.DB()
-	gotQ6, err := sys2.Query(Q6(db2))
+	gotQ6, err := sys2.QueryContext(context.Background(), Q6(db2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(gotQ6.Result.Rows, wantQ6.Result.Rows) {
 		t.Fatalf("Q6 diverged: recovered %v, live %v", gotQ6.Result.Rows, wantQ6.Result.Rows)
 	}
-	gotQ18, err := sys2.Query(Q18(db2))
+	gotQ18, err := sys2.QueryContext(context.Background(), Q18(db2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestRecoveryDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := s2.Query(Q6(s2.DB()))
+		rep, err := s2.QueryContext(context.Background(), Q6(s2.DB()))
 		if err != nil {
 			t.Fatal(err)
 		}

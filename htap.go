@@ -42,10 +42,6 @@
 //     values into the compiled predicate tests per execution, bitwise
 //     identical to rebinding with the values inlined.
 //
-// The synchronous wrappers (Query, QueryBatch, QueryInState) are
-// deprecated: pass a context to the Context variants instead so
-// cancellation and tenant attribution flow through.
-//
 // A multi-tenant workload manager (internal/workload) arbitrates between
 // sessions before any query reaches the scheduler. Tenants register with
 // a priority weight and resource quotas, and every query runs as some
@@ -114,7 +110,6 @@
 package elastichtap
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -126,7 +121,6 @@ import (
 	"elastichtap/internal/costmodel"
 	"elastichtap/internal/metrics"
 	"elastichtap/internal/olap"
-	"elastichtap/internal/topology"
 	"elastichtap/query"
 )
 
@@ -309,93 +303,6 @@ func New(opts ...Option) (*System, error) {
 	return &System{inner: inner}, nil
 }
 
-// Config configures a System for NewFromConfig.
-//
-// Deprecated: Config cannot distinguish unset fields from explicit zeros
-// (Alpha=0 and ByteScale=0 are silently ignored). Use New with functional
-// options instead.
-type Config struct {
-	// Sockets and CoresPerSocket describe the modeled machine.
-	Sockets, CoresPerSocket int
-	// LocalBW and InterconnectBW are bytes/second.
-	LocalBW, InterconnectBW float64
-	// Alpha is the scheduler's ETL sensitivity α ∈ [0,1].
-	Alpha float64
-	// Elasticity enables compute exchange between the engines (Fel).
-	Elasticity bool
-	// PreferColocation selects S1 over S3-NI when elastic (Mel).
-	PreferColocation bool
-	// ElasticCores bounds how many cores migrations move.
-	ElasticCores int
-	// ByteScale multiplies measured bytes before the cost model, letting a
-	// small database emulate a larger scale factor's timings.
-	ByteScale float64
-}
-
-// DefaultConfig mirrors the paper's evaluation setup: a 2x14-core server,
-// α=0.5, hybrid elasticity with 4 elastic cores.
-//
-// Deprecated: use New with functional options; New() with no options is
-// this setup.
-func DefaultConfig() Config {
-	topo := topology.DefaultConfig()
-	sched := core.DefaultConfig(topo.Sockets, topo.CoresPerSocket)
-	return Config{
-		Sockets:        topo.Sockets,
-		CoresPerSocket: topo.CoresPerSocket,
-		LocalBW:        topo.LocalBW,
-		InterconnectBW: topo.InterconnectBW,
-		Alpha:          sched.Alpha,
-		Elasticity:     sched.Elasticity,
-		ElasticCores:   sched.ElasticCores,
-		ByteScale:      1,
-	}
-}
-
-// NewFromConfig builds a system from a legacy Config, preserving the old
-// semantics exactly: zero-valued fields fall back to defaults, each field
-// independently (half-set pairs keep the default for the other half).
-//
-// Deprecated: use New with functional options.
-func NewFromConfig(cfg Config) (*System, error) {
-	def := topology.DefaultConfig()
-	var opts []Option
-	if cfg.Sockets > 0 || cfg.CoresPerSocket > 0 {
-		sockets, cores := cfg.Sockets, cfg.CoresPerSocket
-		if sockets <= 0 {
-			sockets = def.Sockets
-		}
-		if cores <= 0 {
-			cores = def.CoresPerSocket
-		}
-		opts = append(opts, WithTopology(sockets, cores))
-	}
-	if cfg.LocalBW > 0 || cfg.InterconnectBW > 0 {
-		local, inter := cfg.LocalBW, cfg.InterconnectBW
-		if local <= 0 {
-			local = def.LocalBW
-		}
-		if inter <= 0 {
-			inter = def.InterconnectBW
-		}
-		opts = append(opts, WithBandwidth(local, inter))
-	}
-	if cfg.Alpha > 0 {
-		opts = append(opts, WithAlpha(cfg.Alpha))
-	}
-	opts = append(opts, WithElasticity(cfg.Elasticity))
-	if cfg.PreferColocation {
-		opts = append(opts, WithColocationPreference(true))
-	}
-	if cfg.ElasticCores > 0 {
-		opts = append(opts, WithElasticCores(cfg.ElasticCores))
-	}
-	if cfg.ByteScale > 0 {
-		opts = append(opts, WithByteScale(cfg.ByteScale))
-	}
-	return New(opts...)
-}
-
 // Core exposes the underlying system for advanced use (experiments,
 // custom workloads, direct engine access).
 func (s *System) Core() *core.System { return s.inner }
@@ -433,35 +340,6 @@ func (s *System) Build(p *Plan) (Query, error) {
 		return nil, fmt.Errorf("elastichtap: Build: %w", ErrNoDatabase)
 	}
 	return p.Bind(s.db)
-}
-
-// Query schedules and executes an analytical query adaptively: the
-// scheduler measures freshness, picks a state (Algorithm 2), migrates
-// resources (Algorithm 1), optionally ETLs, and executes. It fails with
-// ErrNoDatabase before LoadCH. Query is QueryContext with a background
-// context; see also Submit for asynchronous sessions and Prepare for
-// parameterized statements.
-//
-// Deprecated: use QueryContext so cancellation and tenant attribution
-// flow in from the caller.
-func (s *System) Query(q Query) (QueryReport, error) {
-	return s.QueryContext(context.Background(), q)
-}
-
-// QueryInState executes the query with the system pinned to a state
-// (static schedules, A/B comparisons).
-//
-// Deprecated: use QueryInStateContext.
-func (s *System) QueryInState(q Query, st State) (QueryReport, error) {
-	return s.QueryInStateContext(context.Background(), q, st)
-}
-
-// QueryBatch executes a batch of queries over one shared snapshot with a
-// single ETL (the paper's query-batch class, §2.3/§4.2).
-//
-// Deprecated: use QueryBatchContext.
-func (s *System) QueryBatch(qs []Query) ([]QueryReport, error) {
-	return s.QueryBatchContext(context.Background(), qs)
 }
 
 // OLTPThroughput reports the modeled transactional throughput with the

@@ -1,10 +1,7 @@
-//lint:file-ignore SA1019 this file exercises the deprecated synchronous
-// wrappers (Query, QueryInState, QueryBatch) and config shims on
-// purpose, pinning their behaviour until removal.
-
 package elastichtap
 
 import (
+	"context"
 	"errors"
 	"io"
 	"strings"
@@ -40,7 +37,7 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	if rate >= 1 || fresh == 0 {
 		t.Fatalf("after txns: rate=%v fresh=%d", rate, fresh)
 	}
-	rep, err := sys.Query(Q6(db))
+	rep, err := sys.QueryContext(context.Background(), Q6(db))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +54,7 @@ func TestFacadeStaticStates(t *testing.T) {
 	sys.Run(50)
 	var counts []float64
 	for _, st := range []State{S1, S2, S3IS, S3NI} {
-		rep, err := sys.QueryInState(Q1(db), st)
+		rep, err := sys.QueryInStateContext(context.Background(), Q1(db), st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +80,7 @@ func TestFacadeStaticStates(t *testing.T) {
 func TestFacadeQueryBatch(t *testing.T) {
 	sys, db := newSystem(t)
 	sys.Run(50)
-	reps, err := sys.QueryBatch([]Query{Q1(db), Q6(db), Q19(db)})
+	reps, err := sys.QueryBatchContext(context.Background(), []Query{Q1(db), Q6(db), Q19(db)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +114,7 @@ func TestFacadeOptionKnobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.Run(30)
-	rep, err := sys.Query(Q6(db))
+	rep, err := sys.QueryContext(context.Background(), Q6(db))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +132,7 @@ func TestFacadeOptionKnobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys2.Run(30)
-	rep2, err := sys2.Query(Q6(db2))
+	rep2, err := sys2.QueryContext(context.Background(), Q6(db2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,8 +142,8 @@ func TestFacadeOptionKnobs(t *testing.T) {
 }
 
 func TestFacadeAlphaZeroIsHonored(t *testing.T) {
-	// The legacy Config API silently dropped Alpha=0; the options API must
-	// honor it: with α=0 every non-batch query with any fresh data ETLs.
+	// WithAlpha(0) is an explicit α=0, not an unset knob: every non-batch
+	// query with any fresh data ETLs.
 	sys, err := New(WithAlpha(0))
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +156,7 @@ func TestFacadeAlphaZeroIsHonored(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.Run(100)
-	rep, err := sys.Query(Q6(db))
+	rep, err := sys.QueryContext(context.Background(), Q6(db))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,48 +185,6 @@ func TestFacadeOptionValidation(t *testing.T) {
 	}
 }
 
-func TestFacadeNewFromConfigShim(t *testing.T) {
-	// Legacy zero-ignoring semantics: zero Alpha and ByteScale fall back
-	// to the defaults instead of being applied literally.
-	cfg := DefaultConfig()
-	cfg.Alpha = 0
-	cfg.ByteScale = 0
-	cfg.ElasticCores = 2
-	sys, err := NewFromConfig(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := sys.Core().Sched.Config()
-	if sc.Alpha != 0.5 {
-		t.Fatalf("shim applied zero Alpha literally: α=%v", sc.Alpha)
-	}
-	if sc.ElasticCores != 2 {
-		t.Fatalf("shim dropped ElasticCores: %d", sc.ElasticCores)
-	}
-	if bs := sys.Core().Cfg.ByteScale; bs != 1 {
-		t.Fatalf("shim applied zero ByteScale literally: %v", bs)
-	}
-	// Half-set pairs override independently, like the old New did.
-	sys3, err := NewFromConfig(Config{Sockets: 4, Elasticity: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo := sys3.Core().Cfg.Topology
-	if topo.Sockets != 4 {
-		t.Fatalf("shim dropped Sockets override: %+v", topo)
-	}
-	if topo.CoresPerSocket != DefaultConfig().CoresPerSocket {
-		t.Fatalf("shim lost default CoresPerSocket: %+v", topo)
-	}
-	db := sys.LoadCH(0.005, 3)
-	if err := sys.StartWorkload(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Query(Q6(db)); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFacadeNoDatabaseErrors(t *testing.T) {
 	sys, err := New()
 	if err != nil {
@@ -238,13 +193,13 @@ func TestFacadeNoDatabaseErrors(t *testing.T) {
 	if err := sys.StartWorkload(0); !errors.Is(err, ErrNoDatabase) {
 		t.Fatalf("StartWorkload before LoadCH: err = %v", err)
 	}
-	if _, err := sys.Query(Q6(nil)); !errors.Is(err, ErrNoDatabase) {
+	if _, err := sys.QueryContext(context.Background(), Q6(nil)); !errors.Is(err, ErrNoDatabase) {
 		t.Fatalf("Query before LoadCH: err = %v", err)
 	}
-	if _, err := sys.QueryInState(Q1(nil), S2); !errors.Is(err, ErrNoDatabase) {
+	if _, err := sys.QueryInStateContext(context.Background(), Q1(nil), S2); !errors.Is(err, ErrNoDatabase) {
 		t.Fatalf("QueryInState before LoadCH: err = %v", err)
 	}
-	if _, err := sys.QueryBatch([]Query{Q19(nil)}); !errors.Is(err, ErrNoDatabase) {
+	if _, err := sys.QueryBatchContext(context.Background(), []Query{Q19(nil)}); !errors.Is(err, ErrNoDatabase) {
 		t.Fatalf("QueryBatch before LoadCH: err = %v", err)
 	}
 	if _, err := sys.Build(nil); !errors.Is(err, ErrNoDatabase) {
@@ -254,7 +209,7 @@ func TestFacadeNoDatabaseErrors(t *testing.T) {
 	// A query built from a nil DB must fail descriptively even on a loaded
 	// system (the deferred-error path through olap.Invalid).
 	sys.LoadCH(0.005, 1)
-	if _, err := sys.Query(Q6(nil)); !errors.Is(err, ErrNoDatabase) {
+	if _, err := sys.QueryContext(context.Background(), Q6(nil)); !errors.Is(err, ErrNoDatabase) {
 		t.Fatalf("Query with nil-DB query: err = %v", err)
 	}
 }
@@ -327,7 +282,7 @@ func TestConcurrentQueriesCheckpointsAndPayments(t *testing.T) {
 			defer wg.Done()
 			prev := -1.0
 			for i := 0; i < 5; i++ {
-				rep, err := sys.Query(Q6(db))
+				rep, err := sys.QueryContext(context.Background(), Q6(db))
 				if err != nil {
 					t.Error(err)
 					return
@@ -354,14 +309,14 @@ func TestConcurrentQueriesCheckpointsAndPayments(t *testing.T) {
 // fail instead of hanging.
 func TestFacadeClose(t *testing.T) {
 	sys, db := newSystem(t)
-	if _, err := sys.Query(Q6(db)); err != nil {
+	if _, err := sys.QueryContext(context.Background(), Q6(db)); err != nil {
 		t.Fatal(err)
 	}
 	sys.Close()
 	if sys.Metrics().OLAPPoolSize != 0 {
 		t.Fatalf("pool size = %d after Close", sys.Metrics().OLAPPoolSize)
 	}
-	if _, err := sys.Query(Q6(db)); err == nil {
+	if _, err := sys.QueryContext(context.Background(), Q6(db)); err == nil {
 		t.Fatal("query after Close must fail")
 	}
 }

@@ -1,10 +1,9 @@
 package query
 
-// Graph-shaped join surface. Where the deprecated Join/SemiJoin shims
-// describe a single linear fact→dimension step, JoinGraph accepts an
-// arbitrary n-way join graph: named relation nodes (Rel) composed with
-// directed equi-join edges (JoinOn), where an edge's source columns may
-// live on the fact table or on any other joined relation. The written
+// Graph-shaped join surface. JoinGraph accepts an arbitrary n-way join
+// graph: named relation nodes (Rel) composed with directed equi-join
+// edges (JoinOn), where an edge's source columns may live on the fact
+// table or on any other joined relation. The written
 // edge order carries no semantic weight — Bind orders the joins itself
 // (greedily by default, smallest indexed/filtered relation first,
 // subject to connectivity; see order.go) and results are identical
@@ -26,7 +25,7 @@ package query
 // (GroupBy, aggregates, CountIf conditions, or a later edge's source
 // side) is projected automatically; a relation with no demanded columns
 // degenerates to an existence-only semi-join. Relation predicates
-// (Relation.Filter) restrict the relation's build side, like JoinFilter.
+// (Relation.Filter) restrict the relation's build side.
 
 import (
 	"errors"
@@ -65,9 +64,8 @@ func Rel(name string) *Relation { return &Relation{name: name} }
 func (r *Relation) Name() string { return r.name }
 
 // Filter appends build-side predicates: only relation rows passing all
-// of them participate in the join (the graph form of JoinFilter). For
-// the fact relation the predicates push into the scan instead, exactly
-// like Plan.Filter.
+// of them participate in the join. For the fact relation the predicates
+// push into the scan instead, exactly like Plan.Filter.
 func (r *Relation) Filter(preds ...Pred) *Relation {
 	r.preds = append(r.preds, preds...)
 	return r
@@ -126,13 +124,8 @@ func JoinOn(from, to *Relation, on ...string) JoinEdge {
 // order; Bind chooses the execution order (see OrderJoins). The graph's
 // shape is validated eagerly — malformed edges, a fact-targeting edge,
 // or a relation not connected to the fact table fail the plan here, so
-// Plan.Err reports ErrDisconnectedJoinGraph before Bind runs. Cannot be
-// combined with the deprecated Join/SemiJoin shims.
+// Plan.Err reports ErrDisconnectedJoinGraph before Bind runs.
 func (p *Plan) JoinGraph(edges ...JoinEdge) *Plan {
-	if len(p.joins) > 0 {
-		p.fail(fmt.Errorf("query: JoinGraph cannot be mixed with Join/SemiJoin"))
-		return p
-	}
 	if len(p.graph) > 0 {
 		p.fail(fmt.Errorf("query: JoinGraph called twice"))
 		return p

@@ -1,7 +1,6 @@
 package query
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/big"
@@ -10,16 +9,14 @@ import (
 	"testing"
 
 	"elastichtap/internal/columnar"
-	"elastichtap/internal/olap"
 	"elastichtap/internal/oltp"
-	"elastichtap/internal/topology"
 )
 
 // The fused kernels' join tables pick a direct-address array when the
 // build keys are dense and an open-addressed table otherwise. These tests
 // drive both forms through every probe site against references that
-// share none of that code: the staged path's Go-map build for whole
-// executions, and a Go map for single lookups.
+// share none of that code: the reference executor's Go-map builds for
+// whole executions (ref_test.go), and a Go map for single lookups.
 
 // jtRow is one build-side row: its key words, payload and predicate
 // column (the relation passes rows with w < cut).
@@ -283,25 +280,9 @@ func jtWantDense(rows []jtRow, nkey int, cut int64) bool {
 // arms of probeMulti, runGlobalSemiSumF and runSpillSumF — over dense,
 // sparse, negative, int64-edge, overflowing, duplicate, empty,
 // all-filtered and one-row builds, with and without payload, and requires
-// each result DeepEqual to the staged path's map-backed joins.
+// each result DeepEqual to the reference executor's map-backed joins.
 func TestDenseJoinTablesMatchStaged(t *testing.T) {
-	eng := olap.NewEngine(1)
-	eng.SetPlacement(topology.Placement{PerSocket: []int{2}})
-	defer eng.Close()
-	execute := func(t *testing.T, e *oltp.Engine, q *Compiled, staged bool) olap.Result {
-		t.Helper()
-		tab := e.Table(q.FactTable()).Table()
-		src := olap.Source{Table: tab, Parts: []olap.Part{{
-			Data: tab.Active(), Lo: 0, Hi: tab.Rows(), Socket: 0, Label: "test",
-		}}}
-		disableFusion.Store(staged)
-		defer disableFusion.Store(false)
-		res, _, err := eng.ExecuteContext(context.Background(), q, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
+	eng := newTestEngine(t, 2)
 	modes := map[string]map[bool]int{}
 	for _, sh := range jtShapes {
 		modes[sh.name] = map[bool]int{}
@@ -341,9 +322,9 @@ func TestDenseJoinTablesMatchStaged(t *testing.T) {
 							default:
 								t.Fatalf("join kind %d, want a join", fe.jkind)
 							}
-							fused, staged := execute(t, e, q, false), execute(t, e, q, true)
-							if !reflect.DeepEqual(fused, staged) {
-								t.Fatalf("fused join diverges from staged:\nfused:  %+v\nstaged: %+v", fused, staged)
+							fused, ref := execute(t, eng, e, q, false, 1), execute(t, eng, e, q, true, 1)
+							if !reflect.DeepEqual(fused, ref) {
+								t.Fatalf("fused join diverges from the reference:\nfused: %+v\nref:   %+v", fused, ref)
 							}
 						})
 					}

@@ -1,12 +1,12 @@
 package query
 
-// Fused single-pass kernels. Where the staged path in compile.go runs
-// each operator as its own vectorized pass over a materialized selection
-// vector (filter → selection, probe → payload vectors, one pass per
-// aggregate), the fused path compiles the whole plan into one loop over
-// the block: every row is filtered, probed, group-resolved and
-// accumulated before the next row is touched, with no intermediate
-// selection or payload materialization at all.
+// Fused single-pass kernels: Prepare compiles the whole plan into one
+// loop over the block, so every row is filtered, probed, group-resolved
+// and accumulated before the next row is touched, with no intermediate
+// selection or payload materialization at all. Every plan shape runs
+// here; the loops iterate over slices of filters, joins and
+// accumulators, so plan width is bounded only by the builder's own
+// limits (group and join key widths).
 //
 // The split between Bind and Prepare matters for prepared statements:
 // WithArgs stamping may change a predicate's evaluation kind (a range
@@ -16,23 +16,18 @@ package query
 // Sum/Avg over the same column share one sum+count, Count piggybacks on
 // any sum), and how output columns map onto them.
 //
-// Results are bitwise identical to the staged path: each (group,
-// accumulator) pair sees its float updates in ascending row order in
-// both, and the morsel-ordered merge is shared, so DeepEqual-exactness
-// against the hand-coded oracles holds under stealing and resizes.
+// Results are bitwise deterministic: each (group, accumulator) pair sees
+// its float updates in ascending row order, and locals merge in morsel
+// order, so DeepEqual-exactness against the hand-coded oracles holds
+// under stealing and resizes.
 
 import (
-	"log"
 	"sync/atomic"
 
 	"elastichtap/internal/columnar"
 	"elastichtap/internal/index"
 	"elastichtap/internal/olap"
 )
-
-// disableFusion is a test knob forcing the staged fallback path so its
-// exactness stays covered even while fusion handles every shape.
-var disableFusion atomic.Bool
 
 // disableIndexSkip is a test knob forcing every morsel through the row
 // loop, so index-skipped executions can be checked bit-identical against
@@ -69,34 +64,20 @@ type emitSpec struct {
 	cnt  int
 }
 
-// fuseShape is the Bind-time fusion decision: whether the plan fuses,
-// and the value-independent accumulator/emit layout shared by every
-// stamping of a prepared statement.
+// fuseShape is the Bind-time, value-independent accumulator/emit layout
+// shared by every stamping of a prepared statement.
 type fuseShape struct {
-	ok     bool
-	reason string
-	accs   []accSpec
-	emits  []emitSpec
+	accs  []accSpec
+	emits []emitSpec
 }
 
-// maxFusedFilters and maxFusedAccs bound the fused compiler; plans past
-// them fall back to the staged path (selected automatically, logged).
-const (
-	maxFusedFilters = 8
-	maxFusedAccs    = 32
-)
-
-// buildFuseShape decides fusibility and lays out deduplicated
-// accumulators. Sum/Avg over the same (slot, decode) share one
-// accumulator — its count field counts selected rows, exactly what
-// Count emits — so Q1's five output aggregates run on two physical
-// accumulators, matching the hand-coded kernel.
+// buildFuseShape lays out deduplicated accumulators. Sum/Avg over the
+// same (slot, decode) share one accumulator — its count field counts
+// selected rows, exactly what Count emits — so Q1's five output
+// aggregates run on two physical accumulators, matching the hand-coded
+// kernel.
 func buildFuseShape(c *Compiled) *fuseShape {
-	s := &fuseShape{ok: true}
-	if len(c.filters) > maxFusedFilters {
-		s.ok, s.reason = false, "more than 8 filters"
-		return s
-	}
+	s := &fuseShape{}
 	type dk struct {
 		kind   fAccKind
 		slot   int
@@ -154,24 +135,7 @@ func buildFuseShape(c *Compiled) *fuseShape {
 			s.emits[ei].acc, s.emits[ei].cnt = countAcc, countAcc
 		}
 	}
-	if len(s.accs) > maxFusedAccs {
-		s.ok, s.reason = false, "more than 32 accumulators"
-	}
 	return s
-}
-
-// logFallback announces a staged-path selection once per Bind.
-func logFallback(name, reason string) {
-	log.Printf("query: %s: fused kernel unavailable (%s); using staged fallback", name, reason)
-}
-
-// Fused reports whether this plan compiles to the fused single-pass
-// kernel; when it does not, reason says why the staged fallback runs.
-func (c *Compiled) Fused() (bool, string) {
-	if c.fuse == nil {
-		return false, "not bound"
-	}
-	return c.fuse.ok, c.fuse.reason
 }
 
 // --- Prepare-time specialization ---
@@ -290,8 +254,13 @@ func (e *fexec) srcOf(slot int) (int, bool) {
 }
 
 // addRange appends an int range filter, intersecting with an existing
-// range on the same slot so stacked bounds (Ge+Lt) test once per row.
+// range on the same slot so stacked bounds (Ge+Lt) test once per row. An
+// empty range (lo > hi, as Between with swapped bounds compiles) matches
+// no row: the rows' unsigned span test would wrap and pass every row.
 func (e *fexec) addRange(slot int, lo, hi int64) {
+	if lo > hi {
+		e.never = true
+	}
 	for i := range e.ranges {
 		if e.ranges[i].slot == slot {
 			if lo > e.ranges[i].lo {
@@ -309,13 +278,16 @@ func (e *fexec) addRange(slot int, lo, hi int64) {
 	e.ranges = append(e.ranges, frange{slot: slot, lo: lo, hi: hi})
 }
 
-// prepareFused builds the specialized kernel for one execution: filters
+// Prepare implements olap.Query: it builds the specialized kernel for one
+// execution from the statement's current predicate values. Filters
 // classify into range/generic forms from their stamped kinds, CountIf
 // conditions specialize, group keys resolve their sources, and each join
-// build side loads once into a direct-address array when its keys are
-// dense, else into an open-addressed table sized by matching rows, not
-// dimension rows (see joinTab1).
-func (c *Compiled) prepareFused() (olap.Exec, int64) {
+// build side loads once from the dimension's active instance (dimensions
+// are static under the transactional workload) into a direct-address
+// array when its keys are dense, else into an open-addressed table sized
+// by matching rows, not dimension rows (see joinTab1). The returned byte
+// count is the build sides' broadcast volume for the cost model.
+func (c *Compiled) Prepare() (olap.Exec, int64) {
 	e := &fexec{
 		c: c, sh: c.fuse,
 		nacc:   len(c.fuse.accs),

@@ -159,7 +159,7 @@ func BenchmarkKernelFilterCountDict(b *testing.B) {
 func BenchmarkKernelFilterProbeSum(b *testing.B) {
 	runKernelBench(b, Scan("bfact").
 		Filter(Between("qty", 5, 45)).
-		SemiJoin("bdim1", "k1", "id", Between("w", 1, 60)).
+		JoinGraph(JoinOn(Rel("bfact"), Rel("bdim1").Filter(Between("w", 1, 60)), "k1", "id")).
 		Agg(Sum("amount").As("rev")), 3)
 }
 
@@ -169,20 +169,20 @@ func BenchmarkKernelFilterProbeSum(b *testing.B) {
 func BenchmarkKernelFilterProbeGroupSum(b *testing.B) {
 	runKernelBench(b, Scan("bfact").
 		Filter(Between("qty", 5, 45)).
-		Join("bdimc", "jk", "jk", "pay").
-		On("k2", "k2").
+		JoinGraph(JoinOn(Rel("bfact"), Rel("bdimc"), "jk", "jk", "k2", "k2")).
 		GroupBy("pay").
 		Agg(Sum("amount").As("rev")), 4)
 }
 
 // BenchmarkKernelProbeGroupSumSpill: unfiltered composite-key payload
 // probe with composite grouping — the specSpillSumF shape (unrolled key
-// gather, inlined hash chain, open-addressed group table).
+// gather, inlined hash chain, open-addressed group table). It groups on
+// jks, the fact key scaled ×1000: a bare "jk" names the relation's key
+// column too, which the graph resolves as ambiguous.
 func BenchmarkKernelProbeGroupSumSpill(b *testing.B) {
 	runKernelBench(b, Scan("bfact").
-		Join("bdimc", "jk", "jk", "pay").
-		On("k2", "k2").
-		GroupBy("jk", "pay").
+		JoinGraph(JoinOn(Rel("bfact"), Rel("bdimc"), "jk", "jk", "k2", "k2")).
+		GroupBy("jks", "pay").
 		Agg(Sum("amount").As("rev")), 4)
 }
 

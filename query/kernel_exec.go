@@ -155,7 +155,7 @@ func (b *buildRows) denseSpans(nkey int) (span [maxJoinCols]uint64, size int, ok
 // otherwise linear-probed slots hold the raw key word, sized once from
 // the passing row count so the load never rehashes. Payload rows sit in
 // one slab at fixed stride either way. Duplicate keys keep the last
-// row's payload, like the staged map build.
+// row's payload.
 type joinTab1 struct {
 	dense bool
 	lo    int64
@@ -296,8 +296,6 @@ type groupTab struct {
 	nkey  int
 }
 
-var zeroAccRow [maxFusedAccs]acc
-
 // newGroupTab returns an empty table with room for n keys before its
 // first grow: per-morsel tables start small (n = 0) and grow with the keys
 // they touch, the merge table is sized once from the locals' key counts.
@@ -357,7 +355,9 @@ func (t *groupTab) lookup(k *gkey) []acc {
 	}
 	idx := len(t.keys)
 	t.keys = append(t.keys, *k)
-	t.arena = append(t.arena, zeroAccRow[:t.nacc]...)
+	for range t.nacc {
+		t.arena = append(t.arena, acc{})
+	}
 	t.slots[h] = int32(idx + 1)
 	off := idx * t.nacc
 	return t.arena[off : off+t.nacc]
@@ -406,8 +406,9 @@ func (e *fexec) NewLocal() olap.Local {
 	return l
 }
 
-// growDense doubles the flat array to cover key k (capped at denseLen),
-// the same policy as the staged path so flat contents stay identical.
+// growDense doubles the flat array to cover key k (capped at denseLen):
+// a morsel touching only small keys (Q1's 15 line numbers, a handful of
+// warehouse ids) pays for a few dozen slots, not denseLen.
 //
 //htap:coldpath
 func (l *flocal) growDense(k int64) {
@@ -688,8 +689,8 @@ func (e *fexec) filterRow(cols [][]int64, i int) bool {
 }
 
 // update applies every specialized op to row i's accumulator row. Update
-// order is ascending row order per accumulator — the same order as the
-// staged per-aggregate passes — so float totals are bit-identical.
+// order is ascending row order per accumulator, so float totals are
+// bit-identical to a row-at-a-time evaluation.
 func (e *fexec) update(accs []acc, cols [][]int64, pay []int64, i int) {
 	for o := range e.ops {
 		op := &e.ops[o]
@@ -894,8 +895,7 @@ func (e *fexec) emitInto(row []float64, k *gkey, accs []acc) {
 }
 
 // Merge implements olap.Exec. The engine passes locals in morsel order;
-// totals accumulate in that order, exactly like the staged merge, so
-// fused results are bitwise identical under any stealing or resize
+// totals accumulate in that order, so results are bitwise identical under any stealing or resize
 // interleaving. Unordered grouped rows emit sorted by key, the order
 // their output is defined by; an ordered plan skips that sort and
 // finishes in one pass over the merge table (see finishOrdered).
@@ -933,7 +933,7 @@ func (e *fexec) Merge(locals []olap.Local) olap.Result {
 		ll := li.(*flocal)
 		// specDenseSumIF keeps its dense cells in 24-byte sumIF form with
 		// no occupancy stores: the shared count is unconditional, so
-		// cnt>0 is exactly the staged path's present bit, and the fold
+		// cnt>0 is exactly the generic loop's present bit, and the fold
 		// below adds the same values in the same ascending-key order.
 		for kv := range ll.flatIF {
 			g := &ll.flatIF[kv]
@@ -996,15 +996,15 @@ func (e *fexec) Merge(locals []olap.Local) olap.Result {
 // counted (the sort volume the cost model charges) and offered to a
 // bounded top-k, which copies a row only when it keeps it. No key sort is
 // needed: Order is total over distinct rows and grouped rows are
-// distinct, so the top-k's output is the same for any offer order — the
-// staged merge's key-sorted feed included. Only the kept rows are ever
+// distinct, so the top-k's output is the same for any offer order — a
+// key-sorted feed included. Only the kept rows are ever
 // materialized.
 //
 //htap:deterministic
 func (e *fexec) finishOrdered(total *groupTab, res olap.Result) olap.Result {
 	c := e.c
 	if len(total.keys) == 0 {
-		return res // nil rows, like the staged merge over no groups
+		return res // nil rows, like the unordered merge over no groups
 	}
 	top := olap.NewTopK(c.order, c.limit, len(total.keys))
 	row := make([]float64, e.ngroup+len(e.sh.emits))

@@ -1,10 +1,8 @@
 package query
 
-// Bind-time join resolution and ordering. Both join surfaces — the
-// graph form (JoinGraph) and the deprecated linear shims — funnel into
-// the same machinery here: relations resolve to dimension handles,
-// payloads settle (explicit for the shims, inferred from downstream
-// demand for graphs), and the joins are ordered for execution.
+// Bind-time join resolution and ordering: the graph's relations resolve
+// to dimension handles, payloads are inferred from downstream demand,
+// and the joins are ordered for execution.
 //
 // Ordering is greedy and statistics-free, the zero-maintenance policy
 // the paper's HTAP setting wants: no histograms or cardinality sketches
@@ -40,17 +38,13 @@ type rjoin struct {
 	payBase int
 }
 
-// resolveJoins resolves the plan's joins against the catalog and orders
-// them. It returns the joins twice — in written (first-mention) order,
-// which fixes name resolution and scan-list layout so both ordering
-// modes bind to identical metadata, and in execution order — plus any
-// predicates the graph attached to the fact relation.
+// resolveJoins resolves the plan's join graph against the catalog and
+// orders it. It returns the joins twice — in written (first-mention)
+// order, which fixes name resolution and scan-list layout so both
+// ordering modes bind to identical metadata, and in execution order —
+// plus any predicates the graph attached to the fact relation.
 func (p *Plan) resolveJoins(cat Catalog, schema columnar.Schema) (written, ordered []*rjoin, factPreds []Pred, err error) {
-	if len(p.graph) > 0 {
-		written, factPreds, err = p.resolveGraph(cat, schema)
-	} else {
-		written, err = p.resolveShims(cat, schema)
-	}
+	written, factPreds, err = p.resolveGraph(cat, schema)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -59,38 +53,6 @@ func (p *Plan) resolveJoins(cat Catalog, schema columnar.Schema) (written, order
 		return nil, nil, nil, err
 	}
 	return written, ordered, factPreds, nil
-}
-
-// resolveShims lifts the deprecated Join/SemiJoin specs (at most one
-// today, but the machinery is shared) into resolution state.
-func (p *Plan) resolveShims(cat Catalog, schema columnar.Schema) ([]*rjoin, error) {
-	var out []*rjoin
-	for _, spec := range p.joins {
-		dh := cat.Handle(spec.dim)
-		if dh == nil {
-			return nil, fmt.Errorf("query: unknown dimension table %q", spec.dim)
-		}
-		rj := &rjoin{spec: spec, dh: dh, schema: dh.Table().Schema()}
-		for _, fk := range spec.factKeys {
-			src := ""
-			if schema.ColumnIndex(fk) < 0 {
-				// Not a fact column: it must be another join's payload.
-				for _, other := range p.joins {
-					if other == spec {
-						continue
-					}
-					for _, pc := range other.payload {
-						if pc == fk {
-							src = other.dim
-						}
-					}
-				}
-			}
-			rj.keySrc = append(rj.keySrc, src)
-		}
-		out = append(out, rj)
-	}
-	return out, nil
 }
 
 // resolveGraph turns the edge list into per-relation join specs: edges

@@ -10,7 +10,7 @@ import (
 )
 
 // Param is a named placeholder usable anywhere a predicate literal is:
-// Filter, JoinFilter, Having, CountIf conditions, and either end of a
+// Filter, Relation.Filter, Having, CountIf conditions, and either end of a
 // Between. A plan containing parameters binds once (catalog lookup,
 // predicate typing, kernel selection) and is then stamped per execution
 // with WithArgs, which substitutes values into the compiled predicate

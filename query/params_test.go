@@ -17,8 +17,7 @@ func paramFixture() *Plan {
 			Between("day", Param("day_lo"), Param("day_hi")),
 			Ge("amount", Param("min_amount")),
 		).
-		Join("product", "pid", "pid", "price").
-		JoinFilter(Le("price", Param("max_price"))).
+		JoinGraph(JoinOn(Rel("sales"), Rel("product").Filter(Le("price", Param("max_price"))), "pid", "pid")).
 		GroupBy("day").
 		Agg(
 			Sum("amount").As("revenue"),
@@ -35,8 +34,7 @@ func literalFixture(dayLo, dayHi int64, minAmount, maxPrice float64, minQty int6
 			Between("day", dayLo, dayHi),
 			Ge("amount", minAmount),
 		).
-		Join("product", "pid", "pid", "price").
-		JoinFilter(Le("price", maxPrice)).
+		JoinGraph(JoinOn(Rel("sales"), Rel("product").Filter(Le("price", maxPrice)), "pid", "pid")).
 		GroupBy("day").
 		Agg(
 			Sum("amount").As("revenue"),

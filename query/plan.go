@@ -224,11 +224,11 @@ func (a Agg) outName() string {
 	return fmt.Sprintf("%s_%s", a.kind, a.col)
 }
 
-// joinSpec is a hash-join step against one dimension table: fact rows whose
-// factKeys match dimKeys in some dimension row passing preds survive. With
-// an empty payload the join keeps existence only (SemiJoin); a non-empty
-// payload additionally projects the matched dimension row's columns into
-// the downstream group-by and aggregation.
+// joinSpec is one relation's resolved join step (see resolveGraph): fact
+// rows whose factKeys match dimKeys in some dimension row passing preds
+// survive. With an empty payload the join keeps existence only (a
+// semi-join); a non-empty payload additionally projects the matched
+// dimension row's columns into the downstream group-by and aggregation.
 type joinSpec struct {
 	dim      string
 	factKeys []string
@@ -245,7 +245,6 @@ type Plan struct {
 	table     string
 	scanCols  []string
 	preds     []Pred
-	joins     []*joinSpec
 	graph     []JoinEdge
 	joinOrder JoinOrder
 	groups    []string
@@ -291,125 +290,6 @@ func (p *Plan) Filter(preds ...Pred) *Plan {
 		}
 	}
 	p.preds = append(p.preds, preds...)
-	return p
-}
-
-// SemiJoin keeps fact rows whose factKey matches dimKey in some dimension
-// row passing dimPreds — the existence form of a fact-dimension hash join.
-// The dimension rows are read at Prepare time (dimensions are static under
-// the transactional workload) and the build side is charged as broadcast
-// bytes, so the cost model prices it like the paper's broadcast join.
-//
-// Deprecated: SemiJoin is the linear single-join surface, kept as a thin
-// shim over the graph form; it compiles exactly like the one-edge graph
-// JoinGraph(JoinOn(fact, dim, factKey, dimKey)) with dim filtered by
-// dimPreds. New code should use JoinGraph, which also expresses n-way
-// join graphs. At most one shim join per plan; extend composite keys
-// with On.
-func (p *Plan) SemiJoin(dim, factKey, dimKey string, dimPreds ...Pred) *Plan {
-	if len(p.graph) > 0 {
-		p.fail(fmt.Errorf("query: SemiJoin cannot be mixed with JoinGraph"))
-		return p
-	}
-	if len(p.joins) > 0 {
-		p.fail(fmt.Errorf("query: plan already has a join (%s)", p.joins[0].dim))
-		return p
-	}
-	if dim == "" || factKey == "" || dimKey == "" {
-		p.fail(fmt.Errorf("query: SemiJoin needs dimension, fact-key and dim-key names"))
-		return p
-	}
-	p.joins = append(p.joins, &joinSpec{
-		dim: dim, factKeys: []string{factKey}, dimKeys: []string{dimKey},
-		preds: dimPreds,
-	})
-	return p
-}
-
-// Join is an inner fact-dimension hash join: fact rows whose factKey
-// matches dimKey in some dimension row survive, and the dimension's
-// payloadCols become referenceable downstream — as GroupBy keys, aggregate
-// inputs and CountIf conditions — exactly like scanned fact columns. The
-// dimension key must be unique among rows passing JoinFilter (a primary
-// key); when it is not, the last matching row's payload wins. The build
-// side (keys, payload and predicate columns) is read at Prepare time and
-// charged as broadcast bytes.
-//
-// Deprecated: Join is the linear single-join surface, kept as a thin shim
-// over the graph form; it compiles exactly like the one-edge graph
-// JoinGraph(JoinOn(fact, dim, factKey, dimKey)) with payloadCols demanded
-// downstream. New code should use JoinGraph, which also expresses n-way
-// join graphs and infers payloads. At most one shim join per plan; extend
-// composite keys with On and filter the build side with JoinFilter.
-func (p *Plan) Join(dim, factKey, dimKey string, payloadCols ...string) *Plan {
-	if len(p.graph) > 0 {
-		p.fail(fmt.Errorf("query: Join cannot be mixed with JoinGraph"))
-		return p
-	}
-	if len(p.joins) > 0 {
-		p.fail(fmt.Errorf("query: plan already has a join (%s)", p.joins[0].dim))
-		return p
-	}
-	if dim == "" || factKey == "" || dimKey == "" {
-		p.fail(fmt.Errorf("query: Join needs dimension, fact-key and dim-key names"))
-		return p
-	}
-	for _, c := range payloadCols {
-		if c == "" {
-			p.fail(fmt.Errorf("query: Join with empty payload column name"))
-			return p
-		}
-	}
-	p.joins = append(p.joins, &joinSpec{
-		dim: dim, factKeys: []string{factKey}, dimKeys: []string{dimKey},
-		payload: payloadCols,
-	})
-	return p
-}
-
-// On appends a key-column pair to the plan's join, building a composite
-// equi-join key (orderline ⋈ orders matches on warehouse, district and
-// order id). Valid after Join or SemiJoin only.
-//
-// Deprecated: On extends the linear join shims; graph plans list all
-// key pairs in their JoinOn edges instead.
-func (p *Plan) On(factKey, dimKey string) *Plan {
-	if len(p.joins) == 0 {
-		p.fail(fmt.Errorf("query: On before Join/SemiJoin"))
-		return p
-	}
-	j := p.joins[len(p.joins)-1]
-	if factKey == "" || dimKey == "" {
-		p.fail(fmt.Errorf("query: On with empty key name"))
-		return p
-	}
-	if len(j.factKeys) >= maxJoinCols {
-		p.fail(fmt.Errorf("query: join key exceeds %d columns", maxJoinCols))
-		return p
-	}
-	j.factKeys = append(j.factKeys, factKey)
-	j.dimKeys = append(j.dimKeys, dimKey)
-	return p
-}
-
-// JoinFilter appends predicates over the join's dimension table; only
-// dimension rows passing all of them enter the build side. Valid after
-// Join or SemiJoin only.
-//
-// Deprecated: JoinFilter extends the linear join shims; graph plans
-// filter relations with Relation.Filter instead.
-func (p *Plan) JoinFilter(preds ...Pred) *Plan {
-	if len(p.joins) == 0 {
-		p.fail(fmt.Errorf("query: JoinFilter before Join/SemiJoin"))
-		return p
-	}
-	j := p.joins[len(p.joins)-1]
-	for _, pr := range preds {
-		if pr.col == "" {
-			p.fail(fmt.Errorf("query: predicate with empty column name"))
-		}
-	}
-	j.preds = append(j.preds, preds...)
 	return p
 }
 
@@ -506,19 +386,11 @@ func (p *Plan) Name() string {
 // uses this to time the pipeline when choosing S1/S2/S3; the ordered
 // merge's sort volume is charged separately per merged row.
 func (p *Plan) Class() costmodel.WorkClass {
-	payload := false
-	for _, j := range p.joins {
-		if len(j.payload) > 0 {
-			payload = true
-		}
-	}
 	switch {
-	case payload || len(p.graph) > 0:
-		// Graph plans infer payloads at Bind; until then the heavier class
-		// is assumed (Bind fixes the compiled class exactly).
+	case len(p.graph) > 0:
+		// Payloads are inferred at Bind; until then the heavier class is
+		// assumed (Bind fixes the compiled class exactly).
 		return costmodel.JoinProject
-	case len(p.joins) > 0:
-		return costmodel.JoinProbe
 	case len(p.groups) > 0:
 		return costmodel.ScanGroupBy
 	default:

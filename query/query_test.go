@@ -1,7 +1,3 @@
-//lint:file-ignore SA1019 this file exercises the deprecated linear join
-// shims (Join, SemiJoin, On, JoinFilter) on purpose, pinning the
-// shim-equals-graph equivalence until removal.
-
 package query
 
 import (
@@ -156,6 +152,28 @@ func TestEmptySelectionStillEmitsUngroupedRow(t *testing.T) {
 	}
 }
 
+// TestInvertedRangeMatchesNothing pins Between with swapped bounds: the
+// empty range must reject every row, alone or stacked on another bound,
+// in the global and the grouped kernels.
+func TestInvertedRangeMatchesNothing(t *testing.T) {
+	cat, e := newFixture(t)
+	for _, p := range []*Plan{
+		Scan("sales").Filter(Between("day", 3, 1)).Agg(Sum("amount"), Count()),
+		Scan("sales").Filter(Ge("day", 1), Between("day", 3, 1)).Agg(Sum("amount"), Count()),
+		Scan("sales").Filter(Between("qty", 5, 1)).GroupBy("pid").Agg(Count()),
+	} {
+		q, err := p.Bind(cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range run(t, e, q).Rows {
+			if row[len(row)-1] != 0 {
+				t.Fatalf("inverted range matched rows: %v", row)
+			}
+		}
+	}
+}
+
 func TestStringEqualityPredicate(t *testing.T) {
 	cat, e := newFixture(t)
 	q, err := Scan("sales").
@@ -191,7 +209,7 @@ func TestStringEqualityPredicate(t *testing.T) {
 func TestSemiJoinWithDimensionPredicate(t *testing.T) {
 	cat, e := newFixture(t)
 	q, err := Scan("sales").
-		SemiJoin("product", "pid", "pid", Gt("price", 3.1)).
+		JoinGraph(JoinOn(Rel("sales"), Rel("product").Filter(Gt("price", 3.1)), "pid", "pid")).
 		Agg(Sum("amount").As("revenue"), Count().As("matches")).
 		Bind(cat)
 	if err != nil {
@@ -242,8 +260,19 @@ func TestClassInference(t *testing.T) {
 	if c := Scan("sales").GroupBy("pid").Agg(Count()).Class(); c != costmodel.ScanGroupBy {
 		t.Errorf("groupby class = %v", c)
 	}
-	if c := Scan("sales").SemiJoin("product", "pid", "pid").GroupBy("pid").Agg(Count()).Class(); c != costmodel.JoinProbe {
-		t.Errorf("join class = %v", c)
+	// Before Bind a join graph assumes the heavier class; Bind fixes it
+	// from the inferred payloads (none here: a semi-join).
+	semi := Scan("sales").JoinGraph(JoinOn(Rel("sales"), Rel("product"), "pid", "pid")).GroupBy("day").Agg(Count())
+	if c := semi.Class(); c != costmodel.JoinProject {
+		t.Errorf("unbound join class = %v", c)
+	}
+	cat, _ := newFixture(t)
+	q, err := semi.Bind(cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := q.Class(); c != costmodel.JoinProbe {
+		t.Errorf("bound semi-join class = %v", c)
 	}
 }
 
@@ -287,11 +316,12 @@ func TestBindErrors(t *testing.T) {
 		{"string-sum", Scan("sales").Agg(Sum("tag")), "string column"},
 		{"fractional-int", Scan("sales").Filter(Eq("day", 1.5)).Agg(Count()), "non-integral"},
 		{"double-groupby", Scan("sales").GroupBy("day").GroupBy("pid").Agg(Count()), "GroupBy called twice"},
-		{"double-semijoin",
-			Scan("sales").SemiJoin("product", "pid", "pid").SemiJoin("product", "pid", "pid").Agg(Count()),
-			"already has a join"},
-		{"unknown-dim", Scan("sales").SemiJoin("nope", "pid", "pid").Agg(Count()), "unknown dimension"},
-		{"unknown-dim-col", Scan("sales").SemiJoin("product", "pid", "sku").Agg(Count()), "no column"},
+		{"double-joingraph",
+			Scan("sales").JoinGraph(JoinOn(Rel("sales"), Rel("product"), "pid", "pid")).
+				JoinGraph(JoinOn(Rel("sales"), Rel("product"), "pid", "pid")).Agg(Count()),
+			"JoinGraph called twice"},
+		{"unknown-dim", Scan("sales").JoinGraph(JoinOn(Rel("sales"), Rel("nope"), "pid", "pid")).Agg(Count()), "unknown dimension"},
+		{"unknown-dim-col", Scan("sales").JoinGraph(JoinOn(Rel("sales"), Rel("product"), "pid", "sku")).Agg(Count()), "no column"},
 		{"empty-table", Scan("").Agg(Count()), "empty table"},
 	}
 	for _, tc := range cases {
@@ -312,7 +342,7 @@ func TestBindErrors(t *testing.T) {
 func TestJoinProjectsPayloadIntoAggregation(t *testing.T) {
 	cat, e := newFixture(t)
 	q, err := Scan("sales").
-		Join("product", "pid", "pid", "price").
+		JoinGraph(JoinOn(Rel("sales"), Rel("product"), "pid", "pid")).
 		GroupBy("day").
 		Agg(Sum("price").As("price_sum"), Count()).
 		Bind(cat)
@@ -347,8 +377,7 @@ func TestJoinProjectsPayloadIntoAggregation(t *testing.T) {
 func TestJoinFilterRestrictsBuildSide(t *testing.T) {
 	cat, e := newFixture(t)
 	q, err := Scan("sales").
-		Join("product", "pid", "pid", "price").
-		JoinFilter(Gt("price", 3.1)).
+		JoinGraph(JoinOn(Rel("sales"), Rel("product").Filter(Gt("price", 3.1)), "pid", "pid")).
 		Agg(Sum("amount").As("revenue"), Sum("price"), Count()).
 		Bind(cat)
 	if err != nil {
@@ -364,17 +393,18 @@ func TestJoinFilterRestrictsBuildSide(t *testing.T) {
 
 func TestCompositeJoinKey(t *testing.T) {
 	cat, e := newFixture(t)
+	// Grouped on qty: a bare "day" would name both the fact column and
+	// the relation's key column, which the graph resolves as ambiguous.
 	q, err := Scan("sales").
-		Join("daily", "day", "day", "factor").
-		On("pid", "pid").
-		GroupBy("day").
+		JoinGraph(JoinOn(Rel("sales"), Rel("daily"), "day", "day", "pid", "pid")).
+		GroupBy("qty").
 		Agg(Sum("factor").As("fsum")).
 		Bind(cat)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := run(t, e, q)
-	want := [][]float64{{1, 30}, {2, 70}, {3, 110}}
+	want := [][]float64{{1, 80}, {2, 10}, {3, 40}, {4, 30}, {5, 50}}
 	if !reflect.DeepEqual(res.Rows, want) {
 		t.Fatalf("rows = %v, want %v", res.Rows, want)
 	}
@@ -500,7 +530,7 @@ func TestCountIfAndNot(t *testing.T) {
 
 	// CountIf over a join payload column, ungrouped, with a negated range.
 	q2, err := Scan("sales").
-		Join("product", "pid", "pid", "price").
+		JoinGraph(JoinOn(Rel("sales"), Rel("product"), "pid", "pid")).
 		Agg(
 			CountIf(Between("price", 3.1, 6)).As("mid"),
 			CountIf(Not(Between("price", 3.1, 6))).As("rest"),
@@ -556,8 +586,9 @@ func TestPredTypeErrorsAreTyped(t *testing.T) {
 		Scan("sales").Filter(Between("amount", 1.0, "high")).Agg(Count()),
 		Scan("sales").Filter(Eq("tag", 7)).Agg(Count()),
 		Scan("sales").Filter(Eq("day", 1.5)).Agg(Count()),
-		Scan("sales").SemiJoin("product", "pid", "pid", Gt("price", "expensive")).Agg(Count()),
-		Scan("sales").Join("product", "pid", "pid", "price").JoinFilter(Le("price", []byte("x"))).Agg(Count()),
+		Scan("sales").JoinGraph(JoinOn(Rel("sales"), Rel("product").Filter(Gt("price", "expensive")), "pid", "pid")).Agg(Count()),
+		Scan("sales").JoinGraph(JoinOn(Rel("sales"), Rel("product").Filter(Le("price", []byte("x"))), "pid", "pid")).
+			Agg(Sum("price")),
 		Scan("sales").GroupBy("pid").Agg(Count()).Having(Gt("count", "many")),
 		Scan("sales").Agg(CountIf(Eq("qty", "lots"))),
 	}
@@ -581,6 +612,7 @@ func TestPredTypeErrorsAreTyped(t *testing.T) {
 
 func TestJoinAndOrderBindErrors(t *testing.T) {
 	cat, _ := newFixture(t)
+	sales, product, daily := Rel("sales"), Rel("product"), Rel("daily")
 	cases := []struct {
 		name string
 		plan *Plan
@@ -591,23 +623,19 @@ func TestJoinAndOrderBindErrors(t *testing.T) {
 		{"orderby-twice", Scan("sales").GroupBy("pid").Agg(Count()).OrderBy("count", true).OrderBy("pid", false), "OrderBy called twice"},
 		{"limit-nonpositive", Scan("sales").GroupBy("pid").Agg(Count()).OrderBy("count", true).Limit(0), "need > 0"},
 		{"having-unknown", Scan("sales").GroupBy("pid").Agg(Count()).Having(Gt("revenue", 1)), "not an output column"},
-		{"on-before-join", Scan("sales").On("day", "day").Agg(Count()), "On before Join"},
-		{"joinfilter-before-join", Scan("sales").JoinFilter(Eq("price", 1)).Agg(Count()), "JoinFilter before Join"},
-		{"join-twice", Scan("sales").Join("product", "pid", "pid").Join("daily", "day", "day").Agg(Count()), "already has a join"},
-		{"join-after-semijoin", Scan("sales").SemiJoin("product", "pid", "pid").Join("daily", "day", "day").Agg(Count()), "already has a join"},
 		{"too-many-keys",
-			Scan("sales").Join("daily", "day", "day").On("pid", "pid").On("qty", "factor").On("amount", "factor").Agg(Count()),
+			Scan("sales").JoinGraph(JoinOn(sales, daily, "day", "day", "pid", "pid", "qty", "factor", "amount", "factor")).Agg(Count()),
 			"exceeds 3 columns"},
-		{"string-payload", Scan("sales").Join("product", "pid", "pid", "category").Agg(Count()), "string"},
-		{"ambiguous-payload", Scan("sales").Join("daily", "day", "day", "pid").Agg(Count()), "ambiguous"},
+		{"string-payload", Scan("sales").JoinGraph(JoinOn(sales, product, "pid", "pid")).GroupBy("category").Agg(Count()), "string"},
+		{"ambiguous-payload", Scan("sales").JoinGraph(JoinOn(sales, daily, "day", "day")).GroupBy("pid").Agg(Count()), "ambiguous"},
 		{"filter-on-payload",
-			Scan("sales").Join("product", "pid", "pid", "price").Filter(Gt("price", 1)).Agg(Count()),
-			"use JoinFilter"},
-		{"string-fact-key", Scan("sales").Join("product", "tag", "pid").Agg(Count()), "not int64"},
+			Scan("sales").JoinGraph(JoinOn(sales, product, "pid", "pid")).Filter(Gt("price", 1)).Agg(Sum("price")),
+			"use Relation.Filter"},
+		{"string-fact-key", Scan("sales").JoinGraph(JoinOn(sales, product, "tag", "pid")).Agg(Count()), "not int64"},
 		{"group-on-float-payload",
-			Scan("sales").Join("product", "pid", "pid", "price").GroupBy("price").Agg(Count()),
+			Scan("sales").JoinGraph(JoinOn(sales, product, "pid", "pid")).GroupBy("price").Agg(Count()),
 			"only int64 keys"},
-		{"unknown-payload", Scan("sales").Join("product", "pid", "pid", "sku").Agg(Count()), "no column"},
+		{"unknown-payload", Scan("sales").JoinGraph(JoinOn(sales, product, "pid", "pid")).Agg(Sum("sku")), "no column"},
 	}
 	for _, tc := range cases {
 		_, err := tc.plan.Bind(cat)

@@ -110,7 +110,7 @@ func TestSubmitCancelMidExecution(t *testing.T) {
 	twin, tdb := newSystem(t)
 	defer twin.Close()
 	twin.Run(200)
-	want, err := twin.Query(Q6(tdb))
+	want, err := twin.QueryContext(context.Background(), Q6(tdb))
 	if err != nil {
 		t.Fatal(err)
 	}
